@@ -38,10 +38,9 @@ func BenchmarkMatMul256(b *testing.B) {
 	})
 }
 
-// BenchmarkMatMul512 exercises the packed/blocked path (k·n well above the
-// streaming crossover) — the acceptance benchmark for the cache-blocked
-// kernel. allocs/op stays at the output tensor only: pack panels come from
-// the scratch arena.
+// BenchmarkMatMul512 exercises the packed path (k·n well above the
+// in-place crossover). allocs/op stays at the output tensor only: pack
+// panels come from the scratch arena.
 func BenchmarkMatMul512(b *testing.B) {
 	rng := NewRNG(1)
 	x := rng.Uniform(-1, 1, 512, 512)
@@ -71,6 +70,8 @@ func BenchmarkConv2D(b *testing.B) {
 	})
 }
 
+// BenchmarkConv2DBackward counts both products (dX and dW), each with the
+// forward convolution's FLOPs.
 func BenchmarkConv2DBackward(b *testing.B) {
 	rng := NewRNG(3)
 	x := rng.Uniform(-1, 1, 4, 32, 14, 14)
@@ -82,6 +83,38 @@ func BenchmarkConv2DBackward(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Conv2DBackward(p, x, k, dy, spec)
 		}
+		flops := 2 * float64(ConvFLOPs(4, 32, 64, 14, 14, 3, 3))
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
+}
+
+// BenchmarkMatMulTA and BenchmarkMatMulTB are the Dense backward kernels
+// (xᵀ·dy and dy·Wᵀ) at the MatMul256 size.
+func BenchmarkMatMulTA(b *testing.B) {
+	rng := NewRNG(9)
+	x := rng.Uniform(-1, 1, 256, 256)
+	y := rng.Uniform(-1, 1, 256, 256)
+	benchPools(b, func(b *testing.B, p *Pool) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MatMulTA(p, x, y)
+		}
+		flops := 2.0 * 256 * 256 * 256
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	})
+}
+
+func BenchmarkMatMulTB(b *testing.B) {
+	rng := NewRNG(10)
+	x := rng.Uniform(-1, 1, 256, 256)
+	y := rng.Uniform(-1, 1, 256, 256)
+	benchPools(b, func(b *testing.B, p *Pool) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MatMulTB(p, x, y)
+		}
+		flops := 2.0 * 256 * 256 * 256
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 	})
 }
 

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ConvSpec describes a 2-D convolution: kernel size, stride and symmetric
 // zero padding. Kernels are stored [outC, inC, KH, KW]; activations NCHW.
@@ -52,7 +49,7 @@ func Conv2D(p *Pool, x, k *Tensor, spec ConvSpec) *Tensor {
 			// Too few images to feed the pool batch-wise; parallelize each
 			// image's matmul over its output rows instead.
 			for img := 0; img < n; img++ {
-				matmulInto(p, out.data[img*f*h*w:(img+1)*f*h*w], k.data,
+				gemm(p, out.data[img*f*h*w:(img+1)*f*h*w], k.data, c, 1,
 					x.data[img*c*h*w:(img+1)*c*h*w], f, c, h*w)
 			}
 			return out
@@ -108,7 +105,7 @@ func conv2dBands(p *Pool, od, img, kd []float32, c, h, w, f int, spec ConvSpec, 
 		cols := p.scratch(colRows * bandLen)
 		obuf := p.scratch(f * bandLen)
 		im2colBand(img, cols, c, h, w, spec, oh, ow, cs, ce)
-		matmulInto(Serial, obuf, kd, cols, f, colRows, bandLen)
+		gemm(Serial, obuf, kd, colRows, 1, cols, f, colRows, bandLen)
 		for i := 0; i < f; i++ {
 			copy(od[i*colCols+cs:i*colCols+ce], obuf[i*bandLen:(i+1)*bandLen])
 		}
@@ -119,7 +116,7 @@ func conv2dBands(p *Pool, od, img, kd []float32, c, h, w, f int, spec ConvSpec, 
 
 func conv2dPointwiseImgs(od, kd, xd []float32, s, e, f, c, hw int) {
 	for img := s; img < e; img++ {
-		matmulInto(Serial, od[img*f*hw:(img+1)*f*hw], kd, xd[img*c*hw:(img+1)*c*hw], f, c, hw)
+		gemm(Serial, od[img*f*hw:(img+1)*f*hw], kd, c, 1, xd[img*c*hw:(img+1)*c*hw], f, c, hw)
 	}
 }
 
@@ -129,7 +126,7 @@ func conv2dImgs(od, xd, kd, cols []float32, s, e, c, h, w, f int, spec ConvSpec,
 	for img := s; img < e; img++ {
 		im2col(xd[img*c*h*w:(img+1)*c*h*w], cols, c, h, w, spec, oh, ow)
 		// out[img] = k_mat [f, colRows] @ cols [colRows, colCols]
-		matmulInto(Serial, od[img*f*oh*ow:(img+1)*f*oh*ow], kd, cols, f, colRows, colCols)
+		gemm(Serial, od[img*f*oh*ow:(img+1)*f*oh*ow], kd, colRows, 1, cols, f, colRows, colCols)
 	}
 }
 
@@ -165,73 +162,51 @@ func Conv2DBackward(p *Pool, x, k, dy *Tensor, spec ConvSpec) (dx, dk *Tensor) {
 		return dx, dk
 	}
 
-	// Per-chunk kernel-gradient accumulators (arena scratch, zeroed) are
-	// merged under a lock at chunk end, keeping the batch loop
-	// embarrassingly parallel. Chunk-local state is mandatory here: with
-	// over-decomposition Run invokes this closure more times than the pool
-	// has workers.
-	var mu sync.Mutex
-
+	// Each Run chunk accumulates its kernel-gradient partial separately:
+	// chunk 0 straight into dk, the others into zeroed arena scratch. The
+	// partials are then added into dk in chunk order. Chunk boundaries
+	// depend only on n and the pool size, so dk does not depend on which
+	// worker finished first and repeated calls are bit-identical.
+	chunks, step := p.split(n, 1)
+	parts := p.scratch((chunks - 1) * dkLen)
 	dkd := dk.data
 	p.Run(n, 1, func(s, e int) {
-		dkPart := p.scratch(dkLen)
+		dst := dkd
+		if ci := s / step; ci > 0 {
+			dst = parts[(ci-1)*dkLen : ci*dkLen]
+		}
 		cols := p.scratch(colRows * colCols)
 		dcols := p.scratch(colRows * colCols)
-		conv2dBwdImgs(dxd, dkPart, x.data, k.data, dy.data, cols, dcols,
+		conv2dBwdImgs(dxd, dst, x.data, k.data, dy.data, cols, dcols,
 			s, e, c, h, w, f, spec, oh, ow)
-		mu.Lock()
-		for i, v := range dkPart {
-			if v != 0 {
-				dkd[i] += v
-			}
-		}
-		mu.Unlock()
-		p.putScratch(dkPart)
 		p.putScratch(cols)
 		p.putScratch(dcols)
 	})
+	for ci := 1; ci < chunks; ci++ {
+		for i, v := range parts[(ci-1)*dkLen : ci*dkLen] {
+			dkd[i] += v
+		}
+	}
+	p.putScratch(parts)
 	return dx, dk
 }
 
 // conv2dBwdImgs processes images [s, e): dx is written per image (disjoint
-// across chunks), while kernel gradients accumulate into dkDst — the real
-// dk for serial execution, a chunk-private partial otherwise.
+// across chunks), while kernel gradients accumulate into dkDst. cols and
+// dcols are [colRows·colCols] scratch; dcols first holds colsᵀ for the
+// kernel gradient, then the column gradient for col2im.
 func conv2dBwdImgs(dxd, dkDst, xd, kd, dyd, cols, dcols []float32, s, e, c, h, w, f int, spec ConvSpec, oh, ow int) {
 	colRows := c * spec.KH * spec.KW
 	colCols := oh * ow
 	for img := s; img < e; img++ {
 		im2col(xd[img*c*h*w:(img+1)*c*h*w], cols, c, h, w, spec, oh, ow)
-		dyImg := dyd[img*f*oh*ow : (img+1)*f*oh*ow]
-		// dk += dy_mat [f, colCols] @ colsᵀ [colCols, colRows]
-		for i := 0; i < f; i++ {
-			drow := dyImg[i*colCols : (i+1)*colCols]
-			dkrow := dkDst[i*colRows : (i+1)*colRows]
-			for t := 0; t < colRows; t++ {
-				crow := cols[t*colCols : (t+1)*colCols]
-				var acc float32
-				for j := range drow {
-					acc += drow[j] * crow[j]
-				}
-				dkrow[t] += acc
-			}
-		}
-		// dcols = kᵀ [colRows, f] @ dy_mat [f, colCols]
-		for i := range dcols {
-			dcols[i] = 0
-		}
-		for t := 0; t < f; t++ {
-			krow := kd[t*colRows : (t+1)*colRows]
-			drow := dyImg[t*colCols : (t+1)*colCols]
-			for r, kv := range krow {
-				if kv == 0 {
-					continue
-				}
-				dcrow := dcols[r*colCols : (r+1)*colCols]
-				for j, dv := range drow {
-					dcrow[j] += kv * dv
-				}
-			}
-		}
+		dyImg := dyd[img*f*colCols : (img+1)*f*colCols]
+		// dk += dy [f, colCols] @ colsᵀ [colCols, colRows]
+		transpose(dcols, cols, colRows, colCols)
+		gemm(Serial, dkDst, dyImg, colCols, 1, dcols, f, colCols, colRows)
+		// dcols = kᵀ [colRows, f] @ dy [f, colCols]
+		clear(dcols)
+		gemm(Serial, dcols, kd, 1, colRows, dyImg, colRows, f, colCols)
 		col2im(dcols, dxd[img*c*h*w:(img+1)*c*h*w], c, h, w, spec, oh, ow)
 	}
 }

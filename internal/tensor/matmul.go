@@ -2,38 +2,70 @@ package tensor
 
 import "fmt"
 
-// Matmul kernel tuning. The blocked kernel packs B into [mmKC x mmNC]
-// panels (128 KiB, sized to sit in L2 across many output rows) and runs a
-// 2-row × 4-k register-blocked inner loop on the packed panel.
+// GEMM kernel. Every matrix product in this package runs one 2-row × 4-k
+// register-blocked inner loop, gemmPanel: MatMul, the Conv2D forward paths
+// (im2col, pointwise and band), MatMulTA/MatMulTB (the Dense backward) and
+// both products of Conv2DBackward. The variants differ only in how they
+// address A (row and column strides, so Aᵀ is read in place) and in how B
+// reaches the loop:
 //
-// Crossover, measured on the 2.1 GHz Xeon this repo is benchmarked on
-// (512³ f32 matmul, single thread): the streaming i-k-j kernel reads all of
-// B once per output row, so it wins while B stays cache-resident and loses
-// ~1.7× once B spills (k·n > ~64K floats ≈ 256 KiB). mmKC=128/mmNC=256 beat
-// the neighboring {64,256}×{128,512} tilings by 3-8% and a transposed-panel
-// dot-product kernel (accumulator-bound at 5.1 GFLOP/s) by ~30%:
+//   - k·n ≤ mmSmallKN floats: B is read in place. It stays cache-resident
+//     across every output row, so packing would only add copies.
+//   - larger: B is copied into [mmKC x mmNC] panels (128 KiB, sized to sit
+//     in L2 across many output rows), one panel at a time.
 //
-//	seed i-k-j     4.4 GFLOP/s
-//	blocked 2×4    7.4 GFLOP/s   (1.68×)
+// A transposed B (MatMulTB, the conv kernel gradient) is transposed once
+// into scratch and then takes the same path.
+//
+// Tile sizes, measured on a 2.1 GHz Xeon (512³ f32, single thread):
+// mmKC=128/mmNC=256 beat the neighboring {64,256}×{128,512} tilings by 3-8%
+// and a transposed-panel dot-product kernel by ~30%.
+//
+// Crossover sweep on a 2-vCPU Xeon VM, go1.24, in-place vs packed B, three
+// 400 ms runs each (GFLOP/s, min–max):
+//
+//	k·n floats   m×k×n             threads  in place    packed
+//	     8192    144×32×256           1     6.4–6.5    6.5–6.8
+//	    16384    256×128×128          1     4.1–6.5    5.7–5.9
+//	    56448    64×196×288           1     6.4–6.7    6.5–6.5
+//	    65536    256×256×256          1     5.4–6.3    6.2–6.6
+//	    65536    256×256×256          2     7.1–8.2    8.3–11.8
+//	   131044    256×362×362          1     6.4–6.7    5.6–6.4
+//	   262144    512×512×512          2    10.2–11.5  10.9–11.9
+//	   524176    128×724×724          1     6.4–6.8    5.5–6.6
+//	  1048576    256×1024×1024        2     7.7–9.4    7.5–8.7
+//	  2097152    64×2048×1024         1     5.3–6.5    5.5–6.4
+//
+// Once both sides are register-blocked the two paths stay within the
+// host's noise of each other across the whole range, so the sweep does not
+// move mmSmallKN. The in-place path still earns its place at small m with
+// more than one thread, where the packed path's mmRowGrain leaves a single
+// chunk: TinyCNN's Dense layer at batch 32 and its neighbors (five 300 ms
+// runs each, 2 threads):
+//
+//	k·n floats   m×k×n             in place    packed
+//	    40960    32×4096×10         5.2–7.7    3.9–5.4   Dense forward
+//	    40960    32×10×4096         7.4–8.6    4.3–5.8   Dense dX (MatMulTB)
+//	    65536    32×256×256         9.1–9.8    6.9–7.2
+//
+// TinyCNN's per-image conv GEMMs (serial, m 16–288) show no consistent
+// difference.
 const (
 	mmKC = 128 // k-panel depth
 	mmNC = 256 // j-panel width; pack buffer is mmKC*mmNC floats
-	// mmSmallKN: below this B footprint (floats) the streaming kernel is
-	// used — packing overhead outweighs the locality win.
+	// mmSmallKN: at or below this B footprint (floats) B is read in place.
 	mmSmallKN = 64 * 1024
 	// mmRowGrain is the minimum output rows per parallel chunk of the
-	// blocked kernel. Each chunk repacks every B panel (~k·n copies) no
-	// matter how few rows it covers, so the grain must be tile-proportional,
-	// not a fixed handful of rows: at 32 rows the repack is under ~2% of the
-	// chunk's 2·rows·k·n FLOPs, where the old grain of 4 rows let
-	// over-decomposition drive repack overhead past 10% — the other
-	// thread-scaling wall.
-	mmRowGrain = 32
+	// packed path. Each chunk repacks every B panel (~k·n copies) no matter
+	// how few rows it covers, so the grain must be tile-proportional: at 32
+	// rows the repack is under ~2% of the chunk's 2·rows·k·n FLOPs. The
+	// in-place path copies nothing and splits at mmInPlaceGrain rows.
+	mmRowGrain     = 32
+	mmInPlaceGrain = 4
 )
 
-// MatMul returns a @ b for a [m, k] and b [k, n], computed with a packed,
-// cache-blocked kernel parallelized over rows of the output (small operands
-// take a streaming i-k-j path; see the crossover note above).
+// MatMul returns a @ b for a [m, k] and b [k, n], parallelized over rows of
+// the output.
 func MatMul(p *Pool, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic("tensor: MatMul requires 2-D operands")
@@ -44,7 +76,7 @@ func MatMul(p *Pool, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := p.alloc(m, n)
-	matmulInto(p, out.data, a.data, b.data, m, k, n)
+	gemm(p, out.data, a.data, k, 1, b.data, m, k, n)
 	return out
 }
 
@@ -55,32 +87,9 @@ func MatMulTA(p *Pool, a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTA inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	// out[i,j] = sum_t a[t,i] * b[t,j]. Parallelize over output rows i,
-	// accumulating rank-1 updates row-wise for locality.
 	out := p.alloc(m, n)
-	ad, bd, od := a.data, b.data, out.data
-	if p.size == 1 {
-		matmulTARange(od, ad, bd, 0, m, m, k, n)
-		return out
-	}
-	p.Run(m, 8, func(s, e int) { matmulTARange(od, ad, bd, s, e, m, k, n) })
+	gemm(p, out.data, a.data, 1, m, b.data, m, k, n)
 	return out
-}
-
-func matmulTARange(od, ad, bd []float32, s, e, m, k, n int) {
-	for t := 0; t < k; t++ {
-		brow := bd[t*n : (t+1)*n]
-		for i := s; i < e; i++ {
-			av := ad[t*m+i]
-			if av == 0 {
-				continue
-			}
-			orow := od[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
 }
 
 // MatMulTB returns a @ bᵀ for a [m, k] and b [n, k].
@@ -91,134 +100,105 @@ func MatMulTB(p *Pool, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTB inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := p.alloc(m, n)
-	ad, bd, od := a.data, b.data, out.data
-	if p.size == 1 {
-		matmulTBRange(od, ad, bd, 0, m, k, n)
-		return out
-	}
-	p.Run(m, 4, func(s, e int) { matmulTBRange(od, ad, bd, s, e, k, n) })
+	bt := p.scratch(k * n)
+	transpose(bt, b.data, n, k)
+	gemm(p, out.data, a.data, k, 1, bt, m, k, n)
+	p.putScratch(bt)
 	return out
 }
 
-func matmulTBRange(od, ad, bd []float32, s, e, k, n int) {
-	for i := s; i < e; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			var acc float32
-			for t := range arow {
-				acc += arow[t] * brow[t]
-			}
-			orow[j] = acc
+// transpose writes the [cols, rows] transpose of src [rows, cols] into dst.
+func transpose(dst, src []float32, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
 		}
 	}
 }
 
-// matmulInto computes out += a @ b (row-major, out [m,n], a [m,k], b [k,n]).
-// The output region must be pre-zeroed (fresh and arena tensors always are).
-func matmulInto(p *Pool, out, a, b []float32, m, k, n int) {
+// gemm computes out [m, n] += A·B, parallelized over output rows, where
+// A(i, t) = a[i*ars + t*acs] and b is row-major [k, n]. out must be zeroed
+// or hold the sums to accumulate into (fresh and arena tensors are zeroed).
+func gemm(p *Pool, out, a []float32, ars, acs int, b []float32, m, k, n int) {
 	if k*n <= mmSmallKN {
-		// Streaming i-k-j: B rows are read sequentially and stay cached at
-		// this size; the zero-skip exploits ReLU-sparse activations.
 		if p.size == 1 {
-			matmulStreaming(out, a, b, 0, m, k, n)
+			gemmPanel(out, n, a, ars, acs, b, n, 0, m, k, n)
 			return
 		}
-		p.Run(m, 4, func(s, e int) { matmulStreaming(out, a, b, s, e, k, n) })
+		p.Run(m, mmInPlaceGrain, func(s, e int) { gemmPanel(out, n, a, ars, acs, b, n, s, e, k, n) })
 		return
 	}
 	if p.size == 1 {
-		pack := p.scratch(mmKC * mmNC)
-		matmulBlocked(out, a, b, 0, m, k, n, pack)
-		p.putScratch(pack)
+		gemmPacked(p, out, a, ars, acs, b, 0, m, k, n)
 		return
 	}
-	p.Run(m, mmRowGrain, func(s, e int) {
-		pack := p.scratch(mmKC * mmNC)
-		matmulBlocked(out, a, b, s, e, k, n, pack)
-		p.putScratch(pack)
-	})
+	p.Run(m, mmRowGrain, func(s, e int) { gemmPacked(p, out, a, ars, acs, b, s, e, k, n) })
 }
 
-// matmulStreaming computes output rows [s, e) of out += a @ b with the
-// i-k-j loop order.
-func matmulStreaming(out, a, b []float32, s, e, k, n int) {
-	for i := s; i < e; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for t, av := range arow {
-			if av == 0 {
-				continue
+// gemmPacked computes output rows [s, e) of gemm with B copied panel by
+// panel into a [klen x jlen] scratch buffer that stays L2-resident across
+// all rows of the chunk.
+func gemmPacked(p *Pool, out, a []float32, ars, acs int, b []float32, s, e, k, n int) {
+	pack := p.scratch(mmKC * mmNC)
+	for jj := 0; jj < n; jj += mmNC {
+		jlen := min(n-jj, mmNC)
+		for kk := 0; kk < k; kk += mmKC {
+			klen := min(k-kk, mmKC)
+			for t := 0; t < klen; t++ {
+				copy(pack[t*jlen:(t+1)*jlen], b[(kk+t)*n+jj:])
 			}
-			brow := b[t*n : (t+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			gemmPanel(out[jj:], n, a[kk*acs:], ars, acs, pack, jlen, s, e, klen, jlen)
+		}
+	}
+	p.putScratch(pack)
+}
+
+// gemmPanel is the package's one inner GEMM loop. For output rows i in
+// [s, e) it computes out[i*ldo+j] += Σ_t A(i,t)·B(t,j) over t < kl and
+// j < nl, with A(i,t) = a[i*ars+t*acs] and B row t = b[t*ldb : t*ldb+nl].
+// Each pass over four B rows feeds two output rows: eight multiply-adds per
+// iteration from six loads, with the eight A values held in registers.
+func gemmPanel(out []float32, ldo int, a []float32, ars, acs int, b []float32, ldb, s, e, kl, nl int) {
+	i := s
+	for ; i+2 <= e; i += 2 {
+		or0 := out[i*ldo : i*ldo+nl]
+		or1 := out[(i+1)*ldo : (i+1)*ldo+nl]
+		ar0, ar1 := a[i*ars:], a[(i+1)*ars:]
+		t := 0
+		for ; t+4 <= kl; t += 4 {
+			a00, a01, a02, a03 := ar0[t*acs], ar0[(t+1)*acs], ar0[(t+2)*acs], ar0[(t+3)*acs]
+			a10, a11, a12, a13 := ar1[t*acs], ar1[(t+1)*acs], ar1[(t+2)*acs], ar1[(t+3)*acs]
+			// Equal-length reslices let the compiler drop the bounds checks
+			// from the inner loop.
+			b0 := b[t*ldb : t*ldb+nl]
+			b1 := b[(t+1)*ldb:][:len(b0)]
+			b2 := b[(t+2)*ldb:][:len(b0)]
+			b3 := b[(t+3)*ldb:][:len(b0)]
+			o0, o1 := or0[:len(b0)], or1[:len(b0)]
+			for j, bv0 := range b0 {
+				bv1, bv2, bv3 := b1[j], b2[j], b3[j]
+				o0[j] += a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
+				o1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
+			}
+		}
+		for ; t < kl; t++ {
+			a0v, a1v := ar0[t*acs], ar1[t*acs]
+			bt := b[t*ldb : t*ldb+nl]
+			o0, o1 := or0[:len(bt)], or1[:len(bt)]
+			for j, bv := range bt {
+				o0[j] += a0v * bv
+				o1[j] += a1v * bv
 			}
 		}
 	}
-}
-
-// matmulBlocked computes output rows [s, e) of out += a @ b with B packed
-// into [klen x jlen] panels and a 2-row × 4-k register-blocked inner loop:
-// each pass over a packed panel row reuses four B values across two output
-// rows, quadrupling the arithmetic per loop iteration of the streaming
-// kernel while the panel stays L2-resident across all rows of the chunk.
-func matmulBlocked(out, a, b []float32, s, e, k, n int, pack []float32) {
-	for jj := 0; jj < n; jj += mmNC {
-		jlen := n - jj
-		if jlen > mmNC {
-			jlen = mmNC
-		}
-		for kk := 0; kk < k; kk += mmKC {
-			klen := k - kk
-			if klen > mmKC {
-				klen = mmKC
-			}
-			for t := 0; t < klen; t++ {
-				copy(pack[t*jlen:(t+1)*jlen], b[(kk+t)*n+jj:(kk+t)*n+jj+jlen])
-			}
-			i := s
-			for ; i+2 <= e; i += 2 {
-				ar0 := a[i*k+kk : i*k+kk+klen]
-				ar1 := a[(i+1)*k+kk : (i+1)*k+kk+klen]
-				or0 := out[i*n+jj : i*n+jj+jlen]
-				or1 := out[(i+1)*n+jj : (i+1)*n+jj+jlen]
-				t := 0
-				for ; t+4 <= klen; t += 4 {
-					a00, a01, a02, a03 := ar0[t], ar0[t+1], ar0[t+2], ar0[t+3]
-					a10, a11, a12, a13 := ar1[t], ar1[t+1], ar1[t+2], ar1[t+3]
-					b0 := pack[t*jlen : (t+1)*jlen]
-					b1 := pack[(t+1)*jlen : (t+2)*jlen]
-					b2 := pack[(t+2)*jlen : (t+3)*jlen]
-					b3 := pack[(t+3)*jlen : (t+4)*jlen]
-					for j := range b0 {
-						bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-						or0[j] += a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
-						or1[j] += a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
-					}
-				}
-				for ; t < klen; t++ {
-					a0v, a1v := ar0[t], ar1[t]
-					brow := pack[t*jlen : (t+1)*jlen]
-					for j, bv := range brow {
-						or0[j] += a0v * bv
-						or1[j] += a1v * bv
-					}
-				}
-			}
-			for ; i < e; i++ {
-				arow := a[i*k+kk : i*k+kk+klen]
-				orow := out[i*n+jj : i*n+jj+jlen]
-				for t, av := range arow {
-					if av == 0 {
-						continue
-					}
-					brow := pack[t*jlen : (t+1)*jlen]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
+	if i < e {
+		orow := out[i*ldo : i*ldo+nl]
+		for t := 0; t < kl; t++ {
+			av := a[i*ars+t*acs]
+			bt := b[t*ldb : t*ldb+nl]
+			o := orow[:len(bt)]
+			for j, bv := range bt {
+				o[j] += av * bv
 			}
 		}
 	}

@@ -20,16 +20,16 @@ func matmulOracle(a, b []float32, m, k, n int) []float32 {
 	return out
 }
 
-// TestMatMulBlockedMatchesNaive exercises the packed/blocked kernel (k·n
-// above the streaming crossover) including every remainder path: odd row
+// TestMatMulBlockedMatchesNaive exercises the packed path (k·n above the
+// in-place crossover) including every remainder path: odd row
 // counts (single-row tail), k not a multiple of the 4-wide unroll or of
 // mmKC, and n not a multiple of mmNC.
 func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	cases := []struct{ m, k, n int }{
-		{33, 150, 500},         // odd m, k/n remainders everywhere
+		{33, 150, 500},            // odd m, k/n remainders everywhere
 		{2, mmKC + 3, mmNC*2 + 5}, // panel remainders in both k and n
-		{7, 130, 520},          // k just past one mmKC panel
-		{64, 256, 512},         // exact multiples
+		{7, 130, 520},             // k just past one mmKC panel
+		{64, 256, 512},            // exact multiples
 	}
 	for _, c := range cases {
 		c := c
@@ -63,8 +63,8 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMatMulStreamingZeroSkip keeps the small-operand path honest: results
-// with ReLU-style zero rows must match the oracle.
+// TestMatMulStreamingZeroSkip keeps the in-place path honest on small
+// operands: results with ReLU-style zero entries must match the oracle.
 func TestMatMulStreamingZeroSkip(t *testing.T) {
 	rng := NewRNG(99)
 	a := rng.Uniform(-1, 1, 5, 12)
@@ -77,7 +77,7 @@ func TestMatMulStreamingZeroSkip(t *testing.T) {
 	for i, w := range want {
 		d := float64(got.Data()[i]) - float64(w)
 		if d > 1e-4 || d < -1e-4 {
-			t.Fatalf("streaming kernel differs at %d: %g vs %g", i, got.Data()[i], w)
+			t.Fatalf("in-place kernel differs at %d: %g vs %g", i, got.Data()[i], w)
 		}
 	}
 }

@@ -182,21 +182,11 @@ func (p *Pool) Run(n, grain int, fn func(start, end int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	maxChunks := (n + grain - 1) / grain
-	if p.size == 1 || maxChunks == 1 {
+	chunks, step := p.split(n, grain)
+	if chunks == 1 {
 		fn(0, n)
 		return
 	}
-	chunks := overDecompose * p.size
-	if chunks > maxChunks {
-		chunks = maxChunks
-	}
-	step := (n + chunks - 1) / chunks
-	chunks = (n + step - 1) / step // drop empty tail chunks after rounding
-
 	j := &job{fn: fn, n: n, step: step, chunks: int32(chunks)}
 	j.wg.Add(chunks)
 
@@ -216,6 +206,19 @@ publish:
 	}
 	j.run()
 	j.wg.Wait()
+}
+
+// split returns Run's chunking of [0, n): chunk c covers [c·step,
+// min((c+1)·step, n)). It depends only on n, grain and the pool size, so a
+// caller can index per-chunk state by start/step.
+func (p *Pool) split(n, grain int) (chunks, step int) {
+	maxChunks := (n + max(grain, 1) - 1) / max(grain, 1)
+	if p.size == 1 || maxChunks == 1 {
+		return 1, n
+	}
+	chunks = min(overDecompose*p.size, maxChunks)
+	step = (n + chunks - 1) / chunks
+	return (n + step - 1) / step, step // drop empty tail chunks after rounding
 }
 
 // Serial is a shared size-1 pool for callers that want inline execution.

@@ -296,6 +296,18 @@ func Supervise(cfg SupervisorConfig) (*SupervisorResult, error) {
 		res.WorldSize = sup.in.comm.Size()
 		res.Rank = sup.in.comm.Rank()
 		sup.in.close()
+		if sup.in.eng != nil {
+			// Stop the engine loop, or it keeps negotiating every cycle
+			// after the run is over. A failed rank first aborts its
+			// transport as a crashed rank would: its loop fails on its next
+			// transport call instead of waiting for healthy peers to halt,
+			// and the peers see a PeerError instead of waiting for its
+			// gradients.
+			if err != nil {
+				sup.in.comm.Abort()
+			}
+			_ = sup.in.eng.Quiesce() // the run's outcome is already decided
+		}
 	}
 	res.FinalStep = sup.step
 	if err != nil {

@@ -10,6 +10,8 @@
 # pre-pooling implementation, so a budget of 16 catches any reintroduced
 # per-segment or per-round allocation while tolerating harness noise.
 #
+# A second gate pins the conv backward kernel's allocations (see below).
+#
 # Usage: scripts/bench_smoke.sh [max_allocs_per_op]   (default 16)
 set -euo pipefail
 
@@ -38,7 +40,30 @@ if [ "$ALLOCS" -gt "$MAX_ALLOCS" ]; then
 fi
 echo "bench_smoke: OK — ring allreduce at 8 ranks costs $ALLOCS allocs/op (budget $MAX_ALLOCS)"
 
-# Second gate: the causal-tracing tax on the engine's fused gradient
+# Second gate: Conv2DBackward at 2 threads allocates its two result
+# tensors and one pool launch (8 allocs/op; 9 before the kernel moved onto
+# the shared GEMM loop). The ordered kernel-gradient reduction and B
+# packing take their buffers from the scratch arena, so the budget of 9
+# catches any per-call allocation either would add.
+CONV_MAX_ALLOCS=9
+CONV_BENCH='^BenchmarkConv2DBackward$/threads=2$'
+
+COUT="$(go test ./internal/tensor/ -run '^$' -bench "$CONV_BENCH" -benchmem -benchtime 10x)"
+echo "$COUT"
+
+CLINE="$(echo "$COUT" | grep '^BenchmarkConv2DBackward' | head -1)"
+CALLOCS="$(echo "$CLINE" | awk '{for (i=1; i<NF; i++) if ($(i+1) == "allocs/op") print $i}')"
+if [ -z "$CALLOCS" ]; then
+    echo "bench_smoke: no allocs/op for $CONV_BENCH in: $CLINE" >&2
+    exit 1
+fi
+if [ "$CALLOCS" -gt "$CONV_MAX_ALLOCS" ]; then
+    echo "bench_smoke: FAIL — Conv2DBackward at 2 threads costs $CALLOCS allocs/op (budget $CONV_MAX_ALLOCS)" >&2
+    exit 1
+fi
+echo "bench_smoke: OK — Conv2DBackward at 2 threads costs $CALLOCS allocs/op (budget $CONV_MAX_ALLOCS)"
+
+# Third gate: the causal-tracing tax on the engine's fused gradient
 # exchange. mpirun workers now always run a ring-only tracer feeding a
 # flight recorder, so the hot path must not pay for it: trace=on is pinned
 # to at most TRACE_OVERHEAD_PCT percent over trace=off (default 2).
