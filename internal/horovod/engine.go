@@ -195,8 +195,8 @@ type Engine struct {
 	step atomic.Int64
 
 	// wake kicks the loop out of its cycle sleep early (buffered, capacity
-	// 1): shutdown and quiesce requests should not wait out a long
-	// CycleTime before the loop notices them.
+	// 1): a shutdown request should not wait out a long CycleTime before
+	// the loop notices it.
 	wake chan struct{}
 
 	loopDone chan struct{}
@@ -333,11 +333,16 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Shutdown signals the engine to stop once all ranks have also called
-// Shutdown and all negotiated work is drained, then waits for the loop to
-// exit. Tensors still queued locally but never globally negotiated fail
-// with an error. If the loop already died on a transport failure, Shutdown
-// returns that failure (errors.As recovers the mpi.PeerError).
+// Shutdown stops the engine and waits for its background loop to exit. A
+// healthy loop halts once every rank has called Shutdown and all negotiated
+// work is drained; tensors still queued locally but never globally
+// negotiated fail with an error. A loop negotiating with a dead peer fails
+// within the transport's deadlines instead, and one that already died on a
+// transport failure stays dead: either way Shutdown returns that failure
+// (errors.As recovers the mpi.PeerError). One rank's Shutdown does not
+// release healthy peers; a rank leaving alone aborts its communicator
+// first, so the peers see a PeerError. After Shutdown the engine accepts no
+// new tensors; Restart continues on a new communicator.
 func (e *Engine) Shutdown() error {
 	e.requestStop()
 	<-e.loopDone

@@ -174,7 +174,7 @@ func TestFlowAfterRestart(t *testing.T) {
 				errs[r] = mpi.ErrClosed
 				return
 			}
-			e.Quiesce()
+			e.Shutdown()
 			nc, _, err := c.Shrink([]int{2}, mpi.ShrinkOptions{Epoch: 0})
 			if err != nil {
 				errs[r] = err

@@ -58,8 +58,8 @@ func TestRestartAfterRankDeath(t *testing.T) {
 				return
 			}
 
-			// Recover: quiesce, shrink, restart.
-			e.Quiesce()
+			// Recover: shut down, shrink, restart.
+			e.Shutdown()
 			nc, sv, err := c.Shrink([]int{2}, mpi.ShrinkOptions{Epoch: 0})
 			if err != nil {
 				errs[r] = err
@@ -94,7 +94,7 @@ func TestRestartAfterRankDeath(t *testing.T) {
 	}
 }
 
-// TestRestartBoundedQuiesce: Quiesce must not wait out a long CycleTime —
+// TestRestartBoundedQuiesce: Shutdown must not wait out a long CycleTime —
 // the wake channel kicks the loop out of its sleep — and a tensor stuck
 // against a dead peer completes with a typed error rather than hanging,
 // after which Restart yields a working engine on a fresh communicator.
@@ -105,7 +105,7 @@ func TestRestartBoundedQuiesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A huge CycleTime: without the early-wake path, Quiesce would block for
+	// A huge CycleTime: without the early-wake path, Shutdown would block for
 	// an hour waiting for the first negotiation.
 	e := NewEngine(w.Comm(0), Config{CycleTime: time.Hour})
 
@@ -116,7 +116,7 @@ func TestRestartBoundedQuiesce(t *testing.T) {
 
 	start := time.Now()
 	qerr := make(chan error, 1)
-	go func() { qerr <- e.Quiesce() }()
+	go func() { qerr <- e.Shutdown() }()
 
 	// The stuck tensor completes: the woken loop's final negotiation runs
 	// against the dead peer and fails within the transport deadline.
@@ -134,10 +134,10 @@ func TestRestartBoundedQuiesce(t *testing.T) {
 	select {
 	case <-qerr:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Quiesce did not return")
+		t.Fatal("Shutdown did not return")
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("Quiesce took %v; the wake channel should bound it by the transport deadline", elapsed)
+		t.Fatalf("Shutdown took %v; the wake channel should bound it by the transport deadline", elapsed)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Collective micro-benchmarks over the in-process transport: the algorithm
-// costs underneath the Horovod engine.
+// Collective micro-benchmarks: the algorithm costs underneath the Horovod
+// engine, over the in-process transport and over loopback TCP.
 
 // benchAllreduce measures the steady-state collective: communicators are
 // created once and every rank runs b.N back-to-back allreduces on a
@@ -20,12 +20,21 @@ func benchAllreduce(b *testing.B, ranks, elems, segBytes int, algo string) {
 		b.Fatal(err)
 	}
 	comms := make([]*Comm, ranks)
-	bufs := make([][]float32, ranks)
 	for r := range comms {
 		comms[r] = w.Comm(r)
 		if segBytes > 0 {
 			comms[r].SetSegmentBytes(segBytes)
 		}
+	}
+	benchAllreduceOn(b, comms, elems, algo)
+}
+
+// benchAllreduceOn runs the steady-state collective loop on prebuilt
+// communicators, one per rank.
+func benchAllreduceOn(b *testing.B, comms []*Comm, elems int, algo string) {
+	ranks := len(comms)
+	bufs := make([][]float32, ranks)
+	for r := range bufs {
 		bufs[r] = make([]float32, elems)
 	}
 	// One warm-up op primes the frame pools and per-comm ring state.
@@ -63,6 +72,24 @@ func BenchmarkRingAllreduce(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkRingAllreduceTCP is the ring allreduce over two loopback TCP
+// ranks: the socket write path, the read loops and receive-side frame
+// pooling, none of which the in-process benchmarks touch.
+func BenchmarkRingAllreduceTCP(b *testing.B) {
+	b.Run("ranks=2/elems=262144", func(b *testing.B) {
+		comms, err := StartLocalTCPJob(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			for _, c := range comms {
+				c.Abort()
+			}
+		}()
+		benchAllreduceOn(b, comms, 262144, "ring")
+	})
 }
 
 // BenchmarkRingAllreduceSegment sweeps the pipelining segment size at the

@@ -11,7 +11,7 @@ import (
 // FramePool is a size-classed allocator for wire frame buffers — the
 // transport-level extension of the PR-1 arena discipline. Collectives get a
 // frame, serialize a segment into it, and hand ownership to the transport
-// (SendOwned); receivers reduce straight out of the received frame and
+// (Frame.Owned); receivers reduce straight out of the received frame and
 // return it. Steady-state collective traffic therefore recycles a small
 // working set of buffers instead of allocating per segment per step.
 //
@@ -35,8 +35,8 @@ const (
 )
 
 // sharedFramePool backs every communicator that was not given its own pool
-// (Comm.SetFramePool). Endpoint decorators that need to release a frame
-// they cannot forward also return it here; see FramePool doc on migration.
+// (Comm.SetFramePool). Transports release the owned frames they consume
+// here too; see FramePool doc on migration.
 var sharedFramePool FramePool
 
 // frameClass returns the class index for a request of n bytes, or -1 if n
@@ -106,38 +106,6 @@ type FramePoolStats struct {
 // of allocation-free frame reuses.
 func (p *FramePool) Stats() FramePoolStats {
 	return FramePoolStats{Gets: p.gets.Load(), Puts: p.puts.Load(), Misses: p.misses.Load()}
-}
-
-// ownedSender is the optional endpoint capability behind zero-copy sends: a
-// Send whose payload ownership transfers to the transport. The frame must
-// have come from a FramePool; the transport (or the receiving collective)
-// releases it when the bytes are on the wire or consumed. Decorators
-// (instrumentation, fault injection) forward the capability so the frame
-// stays pooled through the whole chain.
-type ownedSender interface {
-	SendOwned(to int, tag uint32, frame []byte) error
-}
-
-// sendOwnedVia sends frame through ep with ownership transfer when the
-// endpoint supports it, else falls back to a plain Send (the transport
-// copies) and releases the frame to pool immediately.
-func sendOwnedVia(ep Endpoint, pool *FramePool, to int, tag uint32, frame []byte) error {
-	if os, ok := ep.(ownedSender); ok {
-		return os.SendOwned(to, tag, frame)
-	}
-	err := ep.Send(to, tag, frame)
-	pool.Put(frame)
-	return err
-}
-
-// sendPooled is the Comm-level owned send: frame must come from c.pool.
-// When a flow is open and this is the collective's first frame to the peer,
-// the frame carries the flow's trace context (see Comm.BeginFlow).
-func (c *Comm) sendPooled(to int, tag uint32, frame []byte) error {
-	if ctx, ok := c.flowCtx(to); ok {
-		return c.flow.cs.SendOwnedCtx(to, tag, frame, ctx)
-	}
-	return sendOwnedVia(c.ep, c.pool, to, tag, frame)
 }
 
 // encodeFloats serializes src into dst (little-endian float32 bits).

@@ -53,7 +53,7 @@ func (c *Comm) Barrier() error {
 		from := (r - k + p) % p
 		tag := tagBarrier + uint32(round)
 		errCh := make(chan error, 1)
-		go func() { errCh <- c.csend(to, tag, nil) }()
+		go func() { errCh <- c.send(to, Frame{Tag: tag}) }()
 		if _, err := c.ep.Recv(from, tag); err != nil {
 			return fmt.Errorf("barrier round %d: %w", round, joinSendErr(err, errCh))
 		}
@@ -110,7 +110,7 @@ func (c *Comm) BcastBytes(payload []byte, root int) ([]byte, error) {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vr+mask < p {
 			child := (vr + mask + root) % p
-			if err := c.csend(child, tagBcast, payload); err != nil {
+			if err := c.send(child, Frame{Tag: tagBcast, Buf: payload}); err != nil {
 				return nil, fmt.Errorf("bcast send: %w", err)
 			}
 		}
@@ -181,7 +181,7 @@ func (c *Comm) ringSender(st *ringState, buf []float32, to int) {
 		}
 		frame := c.pool.Get(4 * (req.hi - req.lo))
 		encodeFloats(frame, buf[req.lo:req.hi])
-		if e := c.sendPooled(to, req.tag, frame); e != nil {
+		if e := c.send(to, Frame{Tag: req.tag, Buf: frame, Owned: true}); e != nil {
 			err = e
 		}
 	}
@@ -331,7 +331,7 @@ func (c *Comm) AllreduceRecursiveDoubling(buf []float32, op ReduceOp) error {
 		// reduce below mutates buf); the transport releases the frame.
 		out := c.pool.Get(4 * len(buf))
 		encodeFloats(out, buf)
-		go func() { errCh <- c.sendPooled(peer, tag, out) }()
+		go func() { errCh <- c.send(peer, Frame{Tag: tag, Buf: out, Owned: true}) }()
 		in, err := c.ep.Recv(peer, tag)
 		if err != nil {
 			return fmt.Errorf("recursive doubling round %d: %w", round, joinSendErr(err, errCh))
@@ -364,7 +364,7 @@ func (c *Comm) AllgatherBytes(mine []byte) ([][]byte, error) {
 			parts[from] = b
 		}
 	} else {
-		if err := c.csend(0, tagGather, mine); err != nil {
+		if err := c.send(0, Frame{Tag: tagGather, Buf: mine}); err != nil {
 			return nil, fmt.Errorf("allgather send: %w", err)
 		}
 	}

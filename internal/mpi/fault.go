@@ -43,8 +43,8 @@ type FaultStats struct {
 // is how tests and the cmd/mpirun demo exercise the failure paths the
 // robustness layer exists for, without real network faults.
 type FaultTransport struct {
-	inner Endpoint
-	cfg   FaultConfig
+	transport // the wrapped endpoint: every method but Send passes through
+	cfg       FaultConfig
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -52,13 +52,17 @@ type FaultTransport struct {
 	stats   FaultStats
 }
 
+// transport names Endpoint for embedding, so FaultTransport inherits its
+// inner endpoint's methods without exporting the field.
+type transport = Endpoint
+
 // NewFaultTransport wraps inner with the given fault configuration.
 func NewFaultTransport(inner Endpoint, cfg FaultConfig) *FaultTransport {
 	return &FaultTransport{
-		inner:   inner,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed*1000003 + int64(inner.Rank()))),
-		blocked: make(map[int]bool),
+		transport: inner,
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed*1000003 + int64(inner.Rank()))),
+		blocked:   make(map[int]bool),
 	}
 }
 
@@ -84,8 +88,8 @@ func (f *FaultTransport) Heal(peer int) {
 // Partition(rank) on every peer's transport for a symmetric cut.
 func (f *FaultTransport) PartitionAll() {
 	f.mu.Lock()
-	for peer := 0; peer < f.inner.Size(); peer++ {
-		if peer != f.inner.Rank() {
+	for peer := 0; peer < f.transport.Size(); peer++ {
+		if peer != f.transport.Rank() {
 			f.blocked[peer] = true
 		}
 	}
@@ -109,7 +113,7 @@ func (f *FaultTransport) HealAll() {
 func (f *FaultTransport) SetConfig(cfg FaultConfig) {
 	f.mu.Lock()
 	if cfg.Seed != f.cfg.Seed {
-		f.rng = rand.New(rand.NewSource(cfg.Seed*1000003 + int64(f.inner.Rank())))
+		f.rng = rand.New(rand.NewSource(cfg.Seed*1000003 + int64(f.transport.Rank())))
 	}
 	f.cfg = cfg
 	f.mu.Unlock()
@@ -128,12 +132,6 @@ func (f *FaultTransport) Stats() FaultStats {
 	defer f.mu.Unlock()
 	return f.stats
 }
-
-// Rank returns the wrapped endpoint's rank.
-func (f *FaultTransport) Rank() int { return f.inner.Rank() }
-
-// Size returns the wrapped endpoint's job size.
-func (f *FaultTransport) Size() int { return f.inner.Size() }
 
 // decide draws one Send's fault outcome under the lock so the sequence is
 // deterministic even with concurrent senders. discard covers both an active
@@ -170,131 +168,35 @@ func (f *FaultTransport) decide(to int) (discard, delay, dup bool) {
 	return drop, delay, dup
 }
 
-// Send delivers payload through the inner transport, subject to the
-// configured faults.
-func (f *FaultTransport) Send(to int, tag uint32, payload []byte) error {
+// Send delivers f through the inner transport, subject to the configured
+// faults. Exactly one decide() draw happens per logical send, whatever the
+// frame carries, so arming causal tracing or pooling does not perturb a
+// seeded fault sequence. A discarded owned frame is released (the
+// ownership contract: the frame is always consumed). A duplicated send
+// ships the original first — stamped, and by copy so an owned buffer
+// survives it — then the duplicate unstamped, carrying the ownership: one
+// flow arrow per logical send.
+func (f *FaultTransport) Send(to int, fr Frame) error {
 	discard, delay, dup := f.decide(to)
 	if discard {
+		fr.release()
 		return nil
 	}
 	if delay {
 		time.Sleep(f.cfg.Delay)
 	}
-	if err := f.inner.Send(to, tag, payload); err != nil {
+	if !dup {
+		return f.transport.Send(to, fr)
+	}
+	orig := fr
+	orig.Owned = false
+	if err := f.transport.Send(to, orig); err != nil {
+		fr.release()
 		return err
 	}
-	if dup {
-		if err := f.inner.Send(to, tag, payload); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
+	fr.Ctx = TraceCtx{}
+	if err := f.transport.Send(to, fr); err != nil {
+		return fmt.Errorf("mpi: fault duplicate: %w", err)
 	}
 	return nil
-}
-
-// SendOwned forwards the zero-copy send capability with the same fault
-// model. A discarded frame is released back to the pool (the ownership
-// contract: the frame is always consumed). A duplicated send delivers the
-// original via the copying path first, then ships the owned frame as the
-// duplicate.
-func (f *FaultTransport) SendOwned(to int, tag uint32, frame []byte) error {
-	discard, delay, dup := f.decide(to)
-	if discard {
-		sharedFramePool.Put(frame)
-		return nil
-	}
-	if delay {
-		time.Sleep(f.cfg.Delay)
-	}
-	if dup {
-		if err := f.inner.Send(to, tag, frame); err != nil {
-			sharedFramePool.Put(frame)
-			return err
-		}
-		if err := sendOwnedVia(f.inner, &sharedFramePool, to, tag, frame); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
-		return nil
-	}
-	return sendOwnedVia(f.inner, &sharedFramePool, to, tag, frame)
-}
-
-// SendCtx applies the fault model to a context-stamped send. Exactly one
-// decide() draw happens per logical send — same as Send — so arming causal
-// tracing does not perturb a seeded fault sequence. A duplicated send ships
-// the stamped frame first and an unstamped copy second: one flow arrow per
-// logical send.
-func (f *FaultTransport) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
-	cs, ok := f.inner.(ctxSender)
-	if !ok || ctx.Span == 0 {
-		return f.Send(to, tag, payload)
-	}
-	discard, delay, dup := f.decide(to)
-	if discard {
-		return nil
-	}
-	if delay {
-		time.Sleep(f.cfg.Delay)
-	}
-	if err := cs.SendCtx(to, tag, payload, ctx); err != nil {
-		return err
-	}
-	if dup {
-		if err := f.inner.Send(to, tag, payload); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
-	}
-	return nil
-}
-
-// SendOwnedCtx is SendOwned under the fault model with a trace context on
-// the original delivery; see SendCtx for the determinism contract.
-func (f *FaultTransport) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	cs, ok := f.inner.(ctxSender)
-	if !ok || ctx.Span == 0 {
-		return f.SendOwned(to, tag, frame)
-	}
-	discard, delay, dup := f.decide(to)
-	if discard {
-		sharedFramePool.Put(frame)
-		return nil
-	}
-	if delay {
-		time.Sleep(f.cfg.Delay)
-	}
-	if dup {
-		// Stamped copy first (the original), then the owned frame as the
-		// unstamped duplicate.
-		if err := cs.SendCtx(to, tag, frame, ctx); err != nil {
-			sharedFramePool.Put(frame)
-			return err
-		}
-		if err := sendOwnedVia(f.inner, &sharedFramePool, to, tag, frame); err != nil {
-			return fmt.Errorf("mpi: fault duplicate: %w", err)
-		}
-		return nil
-	}
-	return cs.SendOwnedCtx(to, tag, frame, ctx)
-}
-
-// Recv passes through: faults are injected on the send side only.
-func (f *FaultTransport) Recv(from int, tag uint32) ([]byte, error) {
-	return f.inner.Recv(from, tag)
-}
-
-// Close closes the inner endpoint.
-func (f *FaultTransport) Close() error { return f.inner.Close() }
-
-// Unwrap exposes the wrapped endpoint so optional capabilities (tag
-// subscriptions) resolve through the fault-injection layer. Injected faults
-// apply on the send side, so subscribed traffic still sees them.
-func (f *FaultTransport) Unwrap() Endpoint { return f.inner }
-
-// Abort forwards an abrupt teardown to the inner endpoint if it supports
-// one, else falls back to Close.
-func (f *FaultTransport) Abort() {
-	if a, ok := f.inner.(interface{ Abort() }); ok {
-		a.Abort()
-		return
-	}
-	f.inner.Close()
 }

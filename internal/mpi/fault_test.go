@@ -3,9 +3,12 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"dnnperf/internal/telemetry"
 )
 
 // faultWorld builds an n-rank in-process job with a Recv deadline and a
@@ -119,7 +122,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		var droppedAt []int
 		for i := 0; i < 64; i++ {
 			before := ft.Stats().Dropped
-			if err := ft.Send(1, uint32(i), []byte{byte(i)}); err != nil {
+			if err := ft.Send(1, Frame{Tag: uint32(i), Buf: []byte{byte(i)}}); err != nil {
 				t.Fatal(err)
 			}
 			if ft.Stats().Dropped > before {
@@ -239,5 +242,241 @@ func TestFaultTransportForwardsAbort(t *testing.T) {
 	}
 	if errors.Is(pe.Err, ErrPeerClosed) {
 		t.Fatal("abort must not look like a graceful goodbye")
+	}
+}
+
+// faultStack wraps every rank of an n-rank job in
+// Instrument(NewFaultTransport(...)), the composition mpirun and the
+// benchmark workloads use, over the in-process or the TCP transport.
+func faultStack(t *testing.T, transport string, n int, cfg FaultConfig) ([]*Comm, []*FaultTransport, []*telemetry.Registry) {
+	t.Helper()
+	raw := make([]Endpoint, n)
+	switch transport {
+	case "inproc":
+		w, err := NewWorldOpts(n, WorldOptions{RecvTimeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range raw {
+			raw[r] = w.Comm(r).Endpoint()
+		}
+	case "tcp":
+		comms, err := StartLocalTCPJobOpts(n, fastTCPOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range raw {
+			raw[r] = comms[r].Endpoint()
+		}
+	}
+	comms := make([]*Comm, n)
+	faults := make([]*FaultTransport, n)
+	regs := make([]*telemetry.Registry, n)
+	for r := range raw {
+		faults[r] = NewFaultTransport(raw[r], cfg)
+		regs[r] = telemetry.New()
+		comms[r] = NewComm(Instrument(faults[r], regs[r]))
+	}
+	t.Cleanup(func() {
+		for _, c := range comms {
+			c.Abort()
+		}
+	})
+	return comms, faults, regs
+}
+
+// flowTally counts the causal flow starts and finishes per flow id over
+// the given tracers.
+func flowTally(tracers ...*telemetry.Tracer) map[uint64][2]int {
+	ids := map[uint64][2]int{}
+	for _, tr := range tracers {
+		for _, ev := range tr.Events() {
+			if ev.Name != "mpi.flow" {
+				continue
+			}
+			c := ids[ev.ID]
+			switch ev.Ph {
+			case "s":
+				c[0]++
+			case "f":
+				c[1]++
+			}
+			ids[ev.ID] = c
+		}
+	}
+	return ids
+}
+
+// checkPoolClassDistinct drains the shared pool's size class for n-byte
+// frames and fails if any buffer comes out twice: a frame returned to a
+// pool more than once would be handed to two owners at the same time.
+// Draining stops at the first allocating Get; a GC in between can only
+// hide a duplicate, never invent one.
+func checkPoolClassDistinct(t *testing.T, n int) {
+	t.Helper()
+	seen := map[*byte]bool{}
+	for i := 0; i < 1<<14; i++ {
+		misses := sharedFramePool.Stats().Misses
+		b := sharedFramePool.Get(n)
+		if sharedFramePool.Stats().Misses != misses {
+			return
+		}
+		p := &b[:1][0]
+		if seen[p] {
+			t.Fatalf("a %d-byte frame was returned to the pool twice", n)
+		}
+		seen[p] = true
+	}
+}
+
+// The fault model's contract through the one Send, with every send
+// duplicated: arming causal tracing changes neither the fault draw nor the
+// instrument counters, the duplicate never carries the trace context (one
+// flow arrow per collective and peer, even once every duplicate has been
+// received), and no owned frame is returned to a pool twice.
+func TestFaultDuplicateContract(t *testing.T) {
+	const n, elems = 3, 300
+	rounds := 2 * (n - 1) // one segment per ring round at this size
+	type result struct {
+		stats    []FaultStats
+		counters []map[string]int64
+		tracers  []*telemetry.Tracer
+	}
+	run := func(t *testing.T, transport string, traced bool) result {
+		comms, faults, regs := faultStack(t, transport, n, FaultConfig{Seed: 11, DupProb: 1})
+		tracers := make([]*telemetry.Tracer, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for r := 0; r < n; r++ {
+			if traced {
+				tracers[r] = telemetry.NewTracer()
+				comms[r].SetFlowTracer(tracers[r])
+			}
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				c := comms[r]
+				buf := make([]float32, elems)
+				for i := range buf {
+					buf[i] = float32(r)
+				}
+				c.BeginFlow(1)
+				err := c.AllreduceRing(buf, OpSum)
+				c.EndFlow()
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				for i, v := range buf {
+					if v != float32(n*(n-1)/2) {
+						errs[r] = fmt.Errorf("rank %d elem %d: got %v", r, i, v)
+						return
+					}
+				}
+				// Receive every duplicate, as a later collective reusing
+				// the tags would: a stamped duplicate would record a second
+				// flow finish here.
+				left := (r - 1 + n) % n
+				for k := 0; k < rounds; k++ {
+					dup, err := c.Recv(left, tagAllreduce+uint32(k))
+					if err != nil {
+						errs[r] = fmt.Errorf("rank %d duplicate of round %d: %w", r, k, err)
+						return
+					}
+					c.FramePool().Put(dup)
+				}
+			}(r)
+		}
+		wg.Wait()
+		res := result{tracers: tracers}
+		for r := 0; r < n; r++ {
+			if errs[r] != nil {
+				t.Fatal(errs[r])
+			}
+			res.stats = append(res.stats, faults[r].Stats())
+			res.counters = append(res.counters, regs[r].Snapshot().Counters)
+		}
+		checkPoolClassDistinct(t, 4*elems/n)
+		return res
+	}
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			plain := run(t, transport, false)
+			traced := run(t, transport, true)
+			if !reflect.DeepEqual(plain.stats, traced.stats) {
+				t.Fatalf("tracing changed the fault draw:\nplain  %+v\ntraced %+v", plain.stats, traced.stats)
+			}
+			if plain.stats[0].Duplicated != int64(rounds) {
+				t.Fatalf("rank 0 duplicated %d sends, want %d", plain.stats[0].Duplicated, rounds)
+			}
+			if !reflect.DeepEqual(plain.counters, traced.counters) {
+				t.Fatalf("tracing changed the instrument counters:\nplain  %v\ntraced %v", plain.counters, traced.counters)
+			}
+			// The ring sends to one peer per rank: one arrow per rank,
+			// its start on the sender and its finish on the receiver.
+			ids := flowTally(traced.tracers...)
+			if len(ids) != n {
+				t.Fatalf("%d flow ids, want one per rank (%d): %v", len(ids), n, ids)
+			}
+			for id, c := range ids {
+				if c != [2]int{1, 1} {
+					t.Errorf("flow %#x: %d starts, %d finishes, want one of each", id, c[0], c[1])
+				}
+			}
+		})
+	}
+}
+
+// Owned frames are consumed exactly once on every fault path: a dropped or
+// failed frame goes back to the pool once, and a duplicated one is either
+// delivered or released, never both.
+func TestFaultOwnedFramesConsumedOnce(t *testing.T) {
+	const k, size = 8, 700
+	cases := []struct {
+		name     string
+		cfg      FaultConfig
+		fail     bool // abort the sender's transport first
+		received int  // frames rank 1 receives per send
+		released bool // every frame must come back to the shared pool
+	}{
+		{name: "drop", cfg: FaultConfig{Seed: 3, DropProb: 1}, released: true},
+		{name: "dup", cfg: FaultConfig{Seed: 3, DupProb: 1}, received: 2},
+		{name: "fail", cfg: FaultConfig{Seed: 3}, fail: true, released: true},
+		{name: "fail-dup", cfg: FaultConfig{Seed: 3, DupProb: 1}, fail: true, released: true},
+	}
+	for _, transport := range []string{"inproc", "tcp"} {
+		for _, tc := range cases {
+			t.Run(transport+"/"+tc.name, func(t *testing.T) {
+				comms, _, regs := faultStack(t, transport, 2, tc.cfg)
+				ep := comms[0].Endpoint()
+				if tc.fail {
+					comms[0].Abort()
+				}
+				puts := sharedFramePool.Stats().Puts
+				for i := 0; i < k; i++ {
+					err := ep.Send(1, Frame{Tag: 5, Buf: sharedFramePool.Get(size), Owned: true})
+					if tc.fail != (err != nil) {
+						t.Fatalf("send %d: err = %v, want failure %v", i, err, tc.fail)
+					}
+				}
+				if got := sharedFramePool.Stats().Puts - puts; tc.released && got < k {
+					t.Fatalf("%d of %d owned frames came back to the pool", got, k)
+				}
+				for i := 0; i < k*tc.received; i++ {
+					b, err := comms[1].Recv(0, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(b) != size {
+						t.Fatalf("received %d bytes, want %d", len(b), size)
+					}
+					sharedFramePool.Put(b) // as a collective does once it has reduced
+				}
+				if tc.fail && regs[0].Snapshot().Counters["mpi.send_errors"] != k {
+					t.Fatalf("send_errors = %d, want %d", regs[0].Snapshot().Counters["mpi.send_errors"], k)
+				}
+				checkPoolClassDistinct(t, size)
+			})
+		}
 	}
 }

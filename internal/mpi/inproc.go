@@ -8,15 +8,6 @@ import (
 	"time"
 )
 
-// inprocMsg is one queued message. ctx carries the sender's causal trace
-// context (zero Span = unstamped); both transports queue this struct, so
-// context survives mailbox buffering and out-of-tag reordering alike.
-type inprocMsg struct {
-	tag     uint32
-	payload []byte
-	ctx     TraceCtx
-}
-
 // WorldOptions configures the in-process transport.
 type WorldOptions struct {
 	// RecvTimeout bounds each Recv; an expiry yields a typed *PeerError
@@ -32,7 +23,7 @@ type WorldOptions struct {
 type World struct {
 	n     int
 	opts  WorldOptions
-	boxes [][]chan inprocMsg // boxes[to][from]
+	boxes [][]chan Frame // boxes[to][from]; Frame.Ctx survives queueing
 	once  []sync.Once
 
 	subMu sync.RWMutex
@@ -89,11 +80,11 @@ func NewWorldOpts(n int, opts WorldOptions) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mpi: world size %d < 1", n)
 	}
-	w := &World{n: n, opts: opts, boxes: make([][]chan inprocMsg, n), once: make([]sync.Once, n)}
+	w := &World{n: n, opts: opts, boxes: make([][]chan Frame, n), once: make([]sync.Once, n)}
 	for to := 0; to < n; to++ {
-		w.boxes[to] = make([]chan inprocMsg, n)
+		w.boxes[to] = make([]chan Frame, n)
 		for from := 0; from < n; from++ {
-			w.boxes[to][from] = make(chan inprocMsg, 1024)
+			w.boxes[to][from] = make(chan Frame, 1024)
 		}
 	}
 	return w, nil
@@ -107,7 +98,7 @@ func (w *World) Comm(r int) *Comm {
 	if r < 0 || r >= w.n {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", r, w.n))
 	}
-	return NewComm(&inprocEndpoint{w: w, rank: r, pending: make(map[int][]inprocMsg)})
+	return NewComm(&inprocEndpoint{w: w, rank: r, pending: make(map[int][]Frame)})
 }
 
 // Rejoin returns a fresh communicator for a rank whose previous endpoint
@@ -160,52 +151,32 @@ type inprocEndpoint struct {
 	rank    int
 	closed  bool
 	mu      sync.Mutex
-	pending map[int][]inprocMsg // from -> out-of-tag frames awaiting a match
+	pending map[int][]Frame // from -> out-of-tag frames awaiting a match
 	sink    atomic.Pointer[TraceSink]
 }
 
 func (e *inprocEndpoint) Rank() int { return e.rank }
 func (e *inprocEndpoint) Size() int { return e.w.n }
 
-func (e *inprocEndpoint) Send(to int, tag uint32, payload []byte) error {
-	return e.SendCtx(to, tag, payload, TraceCtx{})
-}
-
-// SendCtx is Send with a causal trace context attached to the frame.
-func (e *inprocEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
+// Send queues f in the receiver's mailbox. An owned frame goes in as is —
+// in-process a collective segment is zero-copy from serialization to
+// reduce — and any other buffer is copied so the sender may reuse it at
+// once (MPI semantics).
+func (e *inprocEndpoint) Send(to int, f Frame) error {
 	if err := e.check(to); err != nil {
+		f.release()
 		return err
 	}
-	// Copy so senders may reuse their buffer immediately (MPI semantics).
-	cp := append([]byte(nil), payload...)
-	if e.w.subDeliver(to, e.rank, tag, cp) {
+	if !f.Owned {
+		f.Buf = append([]byte(nil), f.Buf...)
+	}
+	// Subscribers own delivered payloads indefinitely (and a full
+	// subscriber drops); either way an owned frame leaves the pool's
+	// accounting — sync.Pool makes that a GC matter, not a leak.
+	if e.w.subDeliver(to, e.rank, f.Tag, f.Buf) {
 		return nil
 	}
-	e.w.boxes[to][e.rank] <- inprocMsg{tag: tag, payload: cp, ctx: ctx}
-	return nil
-}
-
-// SendOwned delivers a pooled frame with ownership transfer: the frame goes
-// into the mailbox without the defensive copy Send makes, and the receiver
-// (or the pool, on a failed delivery) takes it from there. In-process this
-// makes a collective segment zero-copy from serialization to reduce.
-func (e *inprocEndpoint) SendOwned(to int, tag uint32, frame []byte) error {
-	return e.SendOwnedCtx(to, tag, frame, TraceCtx{})
-}
-
-// SendOwnedCtx is SendOwned with a causal trace context attached.
-func (e *inprocEndpoint) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	if err := e.check(to); err != nil {
-		sharedFramePool.Put(frame)
-		return err
-	}
-	if e.w.subDeliver(to, e.rank, tag, frame) {
-		// Subscribers own delivered payloads indefinitely (and a full
-		// subscriber drops); either way the frame leaves the pool's
-		// accounting — sync.Pool makes that a GC matter, not a leak.
-		return nil
-	}
-	e.w.boxes[to][e.rank] <- inprocMsg{tag: tag, payload: frame, ctx: ctx}
+	e.w.boxes[to][e.rank] <- f
 	return nil
 }
 
@@ -219,12 +190,12 @@ func (e *inprocEndpoint) SetTraceSink(sink TraceSink) {
 }
 
 // observe reports a delivered stamped frame to the trace sink, if any.
-func (e *inprocEndpoint) observe(from int, m inprocMsg) {
-	if m.ctx.Span == 0 {
+func (e *inprocEndpoint) observe(from int, m Frame) {
+	if m.Ctx.Span == 0 {
 		return
 	}
 	if s := e.sink.Load(); s != nil {
-		(*s)(from, m.tag, m.ctx)
+		(*s)(from, m.Tag, m.Ctx)
 	}
 }
 
@@ -233,6 +204,9 @@ func (e *inprocEndpoint) observe(from int, m inprocMsg) {
 func (e *inprocEndpoint) Subscribe(tag uint32, buf int) (<-chan Tagged, error) {
 	return e.w.subscribe(e.rank, tag, buf)
 }
+
+// Membership is nil: in-process mailboxes never need re-establishing.
+func (e *inprocEndpoint) Membership() Membership { return nil }
 
 // Recv returns the next message from the peer carrying tag. Messages with
 // other tags are queued for their own Recv instead of being dropped; an
@@ -244,12 +218,12 @@ func (e *inprocEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 	}
 	e.mu.Lock()
 	for i, m := range e.pending[from] {
-		if m.tag == tag {
+		if m.Tag == tag {
 			q := e.pending[from]
 			e.pending[from] = append(q[:i:i], q[i+1:]...)
 			e.mu.Unlock()
 			e.observe(from, m)
-			return m.payload, nil
+			return m.Buf, nil
 		}
 	}
 	e.mu.Unlock()
@@ -265,9 +239,9 @@ func (e *inprocEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 			if !ok {
 				return nil, fmt.Errorf("mpi: rank %d mailbox from %d closed", e.rank, from)
 			}
-			if m.tag == tag {
+			if m.Tag == tag {
 				e.observe(from, m)
-				return m.payload, nil
+				return m.Buf, nil
 			}
 			e.mu.Lock()
 			e.pending[from] = append(e.pending[from], m)
@@ -303,3 +277,6 @@ func (e *inprocEndpoint) Close() error {
 	e.closed = true
 	return nil
 }
+
+// Abort is Close: an in-process rank has no goodbye to skip.
+func (e *inprocEndpoint) Abort() { e.Close() }

@@ -6,14 +6,42 @@
 //
 // Collective algorithms are implemented once against the Endpoint interface
 // so both transports share them, mirroring how MPI layers collectives over
-// point-to-point transport channels.
+// point-to-point transport channels. Every message travels through the one
+// Endpoint.Send as a Frame: buffer ownership (pooled, zero-copy frames) and
+// the causal trace context are fields of the frame, not separate send
+// paths. Decorators (fault injection, instrumentation, sub-communicators)
+// embed the Endpoint they wrap and override only the methods they change.
 package mpi
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 )
+
+// Frame is one point-to-point message.
+type Frame struct {
+	// Tag must match the receiver's Recv tag.
+	Tag uint32
+	// Buf is the payload.
+	Buf []byte
+	// Owned marks Buf as a FramePool buffer whose ownership passes to the
+	// transport: it is consumed on every path (delivered, dropped or
+	// failed) and the caller must not touch it after Send. A non-owned Buf
+	// may be reused by the caller as soon as Send returns.
+	Owned bool
+	// Ctx is the causal trace context; the zero value sends unstamped.
+	Ctx TraceCtx
+}
+
+// release returns an owned frame's buffer to the pool, for the paths that
+// consume a frame without handing it to a receiver.
+func (f Frame) release() {
+	if f.Owned {
+		sharedFramePool.Put(f.Buf)
+	}
+}
 
 // Endpoint is one rank's point-to-point transport handle.
 type Endpoint interface {
@@ -21,15 +49,44 @@ type Endpoint interface {
 	Rank() int
 	// Size returns the number of ranks in the job.
 	Size() int
-	// Send delivers payload to rank `to` with a matching tag. It may block
-	// until the receiver has buffer space but must not require the receiver
-	// to have posted a Recv.
-	Send(to int, tag uint32, payload []byte) error
+	// Send delivers f to rank `to`. It may block until the receiver has
+	// buffer space but must not require the receiver to have posted a
+	// Recv.
+	Send(to int, f Frame) error
 	// Recv returns the next message from rank `from`; the message's tag
 	// must equal tag (our protocols are deterministic per peer pair).
 	Recv(from int, tag uint32) ([]byte, error)
 	// Close releases transport resources. Further calls error.
 	Close() error
+	// Abort tears the transport down abruptly, without a goodbye.
+	Abort()
+	// Subscribe diverts incoming frames carrying tag to a channel; see
+	// Comm.Subscribe.
+	Subscribe(tag uint32, buf int) (<-chan Tagged, error)
+	// SetTraceSink installs (nil: clears) the receive-side observer of
+	// stamped frames.
+	SetTraceSink(TraceSink)
+	// Membership returns the transport's regrow capabilities, or nil when
+	// it needs none (in-process mailboxes always exist).
+	Membership() Membership
+}
+
+// Membership is the transport side of the regrow protocol (Comm.Grow,
+// Rejoin): re-establishing connections to crashed or partitioned peers.
+// TCP implements it.
+type Membership interface {
+	// EnableRejoin arms the acceptor that readmits peers' fresh
+	// connections. Idempotent.
+	EnableRejoin()
+	// RedialPeer connects to peer's listener (empty addr: the retained
+	// table's entry), retrying until timeout. A live peer is a no-op.
+	RedialPeer(peer int, addr string, timeout time.Duration) error
+	// ReadmitWait blocks until peer's slot is live again or timeout.
+	ReadmitWait(peer int, timeout time.Duration) error
+	// PeerAddrs returns a copy of the peer address table.
+	PeerAddrs() []string
+	// SetPeerAddr updates one entry of the address table.
+	SetPeerAddr(rank int, addr string)
 }
 
 // Comm wraps an Endpoint with collective operations.
@@ -128,23 +185,19 @@ func (c *Comm) Endpoint() Endpoint { return c.ep }
 // Abort tears the transport down abruptly, skipping any goodbye handshake —
 // the MPI_Abort analogue, used to model a crashed rank in failure-path
 // tests and demos. Endpoints without a distinct abrupt path just Close.
-func (c *Comm) Abort() {
-	if a, ok := c.ep.(interface{ Abort() }); ok {
-		a.Abort()
-		return
-	}
-	c.ep.Close()
-}
+func (c *Comm) Abort() { c.ep.Abort() }
 
 // Send delivers raw bytes to a peer.
-func (c *Comm) Send(to int, tag uint32, payload []byte) error { return c.ep.Send(to, tag, payload) }
+func (c *Comm) Send(to int, tag uint32, payload []byte) error {
+	return c.ep.Send(to, Frame{Tag: tag, Buf: payload})
+}
 
 // Recv receives raw bytes from a peer.
 func (c *Comm) Recv(from int, tag uint32) ([]byte, error) { return c.ep.Recv(from, tag) }
 
 // SendFloats delivers a float32 vector to a peer.
 func (c *Comm) SendFloats(to int, tag uint32, data []float32) error {
-	return c.ep.Send(to, tag, floatsToBytes(data))
+	return c.Send(to, tag, floatsToBytes(data))
 }
 
 // RecvFloats receives a float32 vector from a peer.
@@ -183,18 +236,6 @@ type Tagged struct {
 	Payload []byte
 }
 
-// subscriber is the optional endpoint capability behind Comm.Subscribe.
-type subscriber interface {
-	Subscribe(tag uint32, buf int) (<-chan Tagged, error)
-}
-
-// unwrapper lets endpoint decorators (fault injection, instrumentation)
-// expose the transport they wrap, so optional capabilities like Subscribe
-// can be found through the decoration chain.
-type unwrapper interface {
-	Unwrap() Endpoint
-}
-
 // Subscribe diverts every future incoming frame carrying tag into the
 // returned channel instead of the Recv path, so a side channel (telemetry
 // pushes) can share the transport with collectives without violating the
@@ -202,23 +243,14 @@ type unwrapper interface {
 // frames arriving while it is full are dropped — subscriptions are for
 // lossy, latest-wins traffic, never for protocol frames. The channel is
 // never closed; stop reading when the job is done. Only one subscription
-// per tag is allowed, and the tag must be below TagBase. Transports without
-// subscription support return an error.
+// per tag is allowed, and the tag must be below TagBase. A subscription is
+// transport-level: made through a sub-communicator, its tag is not
+// namespaced and Tagged.From carries the root transport's numbering.
 func (c *Comm) Subscribe(tag uint32, buf int) (<-chan Tagged, error) {
 	if tag >= TagBase {
 		return nil, fmt.Errorf("mpi: subscribe tag %#x is in the collective tag space", tag)
 	}
-	for ep := c.ep; ep != nil; {
-		if s, ok := ep.(subscriber); ok {
-			return s.Subscribe(tag, buf)
-		}
-		u, ok := ep.(unwrapper)
-		if !ok {
-			break
-		}
-		ep = u.Unwrap()
-	}
-	return nil, fmt.Errorf("mpi: transport %T does not support subscriptions", c.ep)
+	return c.ep.Subscribe(tag, buf)
 }
 
 // Tag spaces for the built-in protocols. User messages should use tags

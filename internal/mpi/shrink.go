@@ -246,10 +246,10 @@ func (c *Comm) Shrink(suspects []int, opts ShrinkOptions) (*Comm, []int, error) 
 		return nil, nil, fmt.Errorf("mpi: shrink: %d of %d ranks: %w", len(survivors), p, ErrNoQuorum)
 	}
 	return c.derive(&subEndpoint{
-		parent:  c.ep,
-		members: survivors,
-		rank:    newRank,
-		tagXor:  0x40000000 ^ (uint32(opts.Epoch+1) * 0x85ebca6b),
+		Endpoint: c.ep,
+		members:  survivors,
+		rank:     newRank,
+		tagXor:   0x40000000 ^ (uint32(opts.Epoch+1) * 0x85ebca6b),
 	}), survivors, nil
 }
 

@@ -55,16 +55,20 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: split: rank %d missing from its own group", c.Rank())
 	}
 	return c.derive(&subEndpoint{
-		parent:  c.ep,
-		members: members,
-		rank:    newRank,
-		tagXor:  0x20000000 ^ (uint32(color+1) * 0x9e3779b1),
+		Endpoint: c.ep,
+		members:  members,
+		rank:     newRank,
+		tagXor:   0x20000000 ^ (uint32(color+1) * 0x9e3779b1),
 	}), nil
 }
 
-// subEndpoint maps a sub-communicator onto its parent transport.
+// subEndpoint maps a sub-communicator onto its parent transport (the
+// embedded Endpoint): ranks are translated and tags namespaced. Everything
+// else passes through to the parent — Subscribe and the trace sink are
+// transport-level, Membership is the parent's, and aborting any derived
+// communicator aborts the job it belongs to, as MPI_Abort does.
 type subEndpoint struct {
-	parent  Endpoint
+	Endpoint
 	members []int // sub rank -> parent rank
 	rank    int
 	tagXor  uint32
@@ -80,12 +84,14 @@ func (s *subEndpoint) translate(peer int) (int, error) {
 	return s.members[peer], nil
 }
 
-func (s *subEndpoint) Send(to int, tag uint32, payload []byte) error {
+func (s *subEndpoint) Send(to int, f Frame) error {
 	p, err := s.translate(to)
 	if err != nil {
+		f.release()
 		return err
 	}
-	return s.parent.Send(p, tag^s.tagXor, payload)
+	f.Tag ^= s.tagXor
+	return s.Endpoint.Send(p, f)
 }
 
 func (s *subEndpoint) Recv(from int, tag uint32) ([]byte, error) {
@@ -93,70 +99,11 @@ func (s *subEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.parent.Recv(p, tag^s.tagXor)
-}
-
-// SendCtx forwards a context-stamped send with the peer and tag translated,
-// so causal flow tracing keeps working on shrunk and split communicators
-// (SetFlowTracer requires the endpoint to be a ctxSender). A parent without
-// context frames degrades to a plain send, as SetFlowTracer documents.
-func (s *subEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
-	p, err := s.translate(to)
-	if err != nil {
-		return err
-	}
-	if cs, ok := s.parent.(ctxSender); ok {
-		return cs.SendCtx(p, tag^s.tagXor, payload, ctx)
-	}
-	return s.parent.Send(p, tag^s.tagXor, payload)
-}
-
-// SendOwnedCtx is SendCtx with frame-ownership transfer.
-func (s *subEndpoint) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	p, err := s.translate(to)
-	if err != nil {
-		return err
-	}
-	if cs, ok := s.parent.(ctxSender); ok {
-		return cs.SendOwnedCtx(p, tag^s.tagXor, frame, ctx)
-	}
-	if os, ok := s.parent.(ownedSender); ok {
-		return os.SendOwned(p, tag^s.tagXor, frame)
-	}
-	return s.parent.Send(p, tag^s.tagXor, frame)
-}
-
-// SendOwned forwards zero-copy ownership transfer with translation. Without
-// parent support the frame is sent by copy and left to the GC — pooling is
-// an optimization, never a correctness requirement.
-func (s *subEndpoint) SendOwned(to int, tag uint32, frame []byte) error {
-	p, err := s.translate(to)
-	if err != nil {
-		return err
-	}
-	if os, ok := s.parent.(ownedSender); ok {
-		return os.SendOwned(p, tag^s.tagXor, frame)
-	}
-	return s.parent.Send(p, tag^s.tagXor, frame)
+	return s.Endpoint.Recv(p, tag^s.tagXor)
 }
 
 // Close is a no-op: the parent owns the transport.
 func (s *subEndpoint) Close() error { return nil }
-
-// Unwrap exposes the parent transport. A subscription made through a
-// sub-communicator is transport-level: tags are not namespaced and the
-// From field carries parent-transport numbering.
-func (s *subEndpoint) Unwrap() Endpoint { return s.parent }
-
-// Abort tears the parent transport down abruptly: aborting any derived
-// communicator aborts the job it belongs to, as MPI_Abort does.
-func (s *subEndpoint) Abort() {
-	if a, ok := s.parent.(interface{ Abort() }); ok {
-		a.Abort()
-		return
-	}
-	s.parent.Close()
-}
 
 // AllreduceHierarchical reduces buf across all ranks using the two-level
 // scheme MVAPICH2 applies on clusters: a shared-memory-style allreduce

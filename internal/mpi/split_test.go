@@ -1,8 +1,12 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
+
+	"dnnperf/internal/telemetry"
 )
 
 func TestSplitIntoGroups(t *testing.T) {
@@ -155,5 +159,55 @@ func TestNestedSplit(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlowThroughSplit: a flow traced on a split sub-communicator still
+// draws one cross-rank arrow per ring peer — the context rides the
+// translated frame through the parent transport, over in-process mailboxes
+// and over TCP alike.
+func TestFlowThroughSplit(t *testing.T) {
+	const n = 4
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			comms, _, _ := faultStack(t, transport, n, FaultConfig{})
+			tracers := make([]*telemetry.Tracer, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for r := 0; r < n; r++ {
+				tracers[r] = telemetry.NewTracer()
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					sub, err := comms[r].Split(r%2, r)
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					sub.SetFlowTracer(tracers[r])
+					buf := []float32{float32(r), 1}
+					sub.BeginFlow(1)
+					errs[r] = sub.AllreduceRing(buf, OpSum)
+					sub.EndFlow()
+				}(r)
+			}
+			wg.Wait()
+			// Flow ids derive from sub-communicator ranks, so each group is
+			// checked on its own.
+			for group := 0; group < 2; group++ {
+				if errs[group] != nil || errs[group+2] != nil {
+					t.Fatalf("group %d: %v", group, errors.Join(errs[group], errs[group+2]))
+				}
+				ids := flowTally(tracers[group], tracers[group+2])
+				if len(ids) != n/2 {
+					t.Fatalf("group %d: %d flow ids, want one per member: %v", group, len(ids), ids)
+				}
+				for id, c := range ids {
+					if c != [2]int{1, 1} {
+						t.Errorf("group %d flow %#x: %d starts, %d finishes, want one of each", group, id, c[0], c[1])
+					}
+				}
+			}
+		})
 	}
 }

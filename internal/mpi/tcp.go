@@ -107,8 +107,8 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // arrived with a tag no Recv has asked for yet.
 type peerState struct {
 	mu      sync.Mutex
-	err     error       // first failure against this peer, latched forever
-	pending []inprocMsg // out-of-tag frames awaiting a matching Recv
+	err     error   // first failure against this peer, latched forever
+	pending []Frame // out-of-tag frames awaiting a matching Recv
 }
 
 // latch records the first failure; later failures are ignored so every
@@ -128,19 +128,19 @@ func (ps *peerState) latched() error {
 }
 
 // takePending removes and returns the first queued frame with tag, if any.
-func (ps *peerState) takePending(tag uint32) (inprocMsg, bool) {
+func (ps *peerState) takePending(tag uint32) (Frame, bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for i, m := range ps.pending {
-		if m.tag == tag {
+		if m.Tag == tag {
 			ps.pending = append(ps.pending[:i:i], ps.pending[i+1:]...)
 			return m, true
 		}
 	}
-	return inprocMsg{}, false
+	return Frame{}, false
 }
 
-func (ps *peerState) queue(m inprocMsg) {
+func (ps *peerState) queue(m Frame) {
 	ps.mu.Lock()
 	ps.pending = append(ps.pending, m)
 	ps.mu.Unlock()
@@ -162,7 +162,7 @@ type tcpEndpoint struct {
 	// hot path cost is an uncontended RLock per Send/Recv.
 	stateMu sync.RWMutex
 	conns   []*tcpConn // indexed by peer rank; nil at self
-	boxes   []chan inprocMsg
+	boxes   []chan Frame
 	peers   []*peerState
 	addrs   []string // rendezvous table, kept current through readmits
 
@@ -182,17 +182,17 @@ func (ep *tcpEndpoint) SetTraceSink(sink TraceSink) {
 }
 
 // observe reports a delivered stamped frame to the trace sink, if any.
-func (ep *tcpEndpoint) observe(from int, m inprocMsg) {
-	if m.ctx.Span == 0 {
+func (ep *tcpEndpoint) observe(from int, m Frame) {
+	if m.Ctx.Span == 0 {
 		return
 	}
 	if s := ep.sink.Load(); s != nil {
-		(*s)(from, m.tag, m.ctx)
+		(*s)(from, m.Tag, m.Ctx)
 	}
 }
 
 // slot snapshots a peer's current connection state under the read lock.
-func (ep *tcpEndpoint) slot(peer int) (*tcpConn, chan inprocMsg, *peerState) {
+func (ep *tcpEndpoint) slot(peer int) (*tcpConn, chan Frame, *peerState) {
 	ep.stateMu.RLock()
 	defer ep.stateMu.RUnlock()
 	return ep.conns[peer], ep.boxes[peer], ep.peers[peer]
@@ -243,49 +243,39 @@ func (ep *tcpEndpoint) subDeliver(from int, tag uint32, payload []byte) bool {
 }
 
 type tcpConn struct {
-	c            net.Conn
-	mu           sync.Mutex // serializes writes
-	writeTimeout time.Duration
+	c   net.Conn
+	mu  sync.Mutex              // serializes writes; guards hdr
+	hdr [8 + traceCtxBytes]byte // header scratch: a write allocates nothing
 }
 
-func (tc *tcpConn) writeFrame(tag uint32, payload []byte) error {
-	return tc.writeFrameDeadline(tag, payload, tc.writeTimeout)
-}
-
-func (tc *tcpConn) writeFrameDeadline(tag uint32, payload []byte, d time.Duration) error {
+// write sends one frame under the connection's write lock, bounded by the
+// write deadline d (d <= 0: none).
+func (tc *tcpConn) write(f Frame, d time.Duration) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if d > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(d))
 		defer tc.c.SetWriteDeadline(time.Time{})
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], tag)
-	if _, err := tc.c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := tc.c.Write(payload)
-	return err
+	return writeFrame(tc.c, tc.hdr[:], f)
 }
 
-// writeFrameCtx writes a stamped frame: the length word carries tcpCtxFlag
-// and the encoded context rides between the header and the payload.
-func (tc *tcpConn) writeFrameCtx(tag uint32, payload []byte, ctx TraceCtx) error {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if d := tc.writeTimeout; d > 0 {
-		tc.c.SetWriteDeadline(time.Now().Add(d))
-		defer tc.c.SetWriteDeadline(time.Time{})
+// writeFrame encodes f onto w in the wire format: the header, the encoded
+// context if f is stamped, then the payload. hdr is scratch of at least
+// 8+traceCtxBytes bytes for the header.
+func writeFrame(w io.Writer, hdr []byte, f Frame) error {
+	n, h := uint32(len(f.Buf)), hdr[:8]
+	if f.Ctx.Span != 0 {
+		n |= tcpCtxFlag
+		f.Ctx.encode(hdr[8:])
+		h = hdr[:8+traceCtxBytes]
 	}
-	var hdr [8 + traceCtxBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload))|tcpCtxFlag)
-	binary.LittleEndian.PutUint32(hdr[4:], tag)
-	ctx.encode(hdr[8:])
-	if _, err := tc.c.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[0:], n)
+	binary.LittleEndian.PutUint32(hdr[4:], f.Tag)
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
-	_, err := tc.c.Write(payload)
+	_, err := w.Write(f.Buf)
 	return err
 }
 
@@ -306,36 +296,36 @@ const maxFrameBytes = 1 << 30
 // clear for legitimate lengths.
 const tcpCtxFlag = uint32(1) << 31
 
-func readFrame(c net.Conn) (uint32, []byte, TraceCtx, error) {
+// readFrame decodes one frame from r. The payload comes from the shared
+// frame pool so steady-state collective traffic recycles frames: receivers
+// that finish with a frame (the collectives) return it; receivers that
+// retain one (bootstrap tables, subscribers) just keep it and the pool
+// never sees it again — both are safe, see FramePool.
+func readFrame(r io.Reader) (Frame, error) {
 	var hdr [8]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
-		return 0, nil, TraceCtx{}, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Frame{}, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
-	tag := binary.LittleEndian.Uint32(hdr[4:])
+	f := Frame{Tag: binary.LittleEndian.Uint32(hdr[4:])}
 	hasCtx := n&tcpCtxFlag != 0
 	n &^= tcpCtxFlag
 	if n > maxFrameBytes {
-		return 0, nil, TraceCtx{}, fmt.Errorf("mpi: frame length %d exceeds limit", n)
+		return Frame{}, fmt.Errorf("mpi: frame length %d exceeds limit", n)
 	}
-	var ctx TraceCtx
 	if hasCtx {
 		var cb [traceCtxBytes]byte
-		if _, err := io.ReadFull(c, cb[:]); err != nil {
-			return 0, nil, TraceCtx{}, err
+		if _, err := io.ReadFull(r, cb[:]); err != nil {
+			return Frame{}, err
 		}
-		ctx = decodeTraceCtx(cb[:])
+		f.Ctx = decodeTraceCtx(cb[:])
 	}
-	// Pooled so steady-state collective traffic recycles frames: receivers
-	// that finish with a frame (the collectives) return it; receivers that
-	// retain one (bootstrap tables, subscribers) just keep it and the pool
-	// never sees it again — both are safe, see FramePool.
-	payload := sharedFramePool.Get(int(n))
-	if _, err := io.ReadFull(c, payload); err != nil {
-		sharedFramePool.Put(payload)
-		return 0, nil, TraceCtx{}, err
+	f.Buf = sharedFramePool.Get(int(n))
+	if _, err := io.ReadFull(r, f.Buf); err != nil {
+		sharedFramePool.Put(f.Buf)
+		return Frame{}, err
 	}
-	return tag, payload, ctx, nil
+	return f, nil
 }
 
 // DialTCP joins a size-rank TCP job as the given rank with default options.
@@ -359,11 +349,11 @@ func DialTCPOpts(rank, size int, rootAddr, bindAddr string, opts TCPOptions) (*C
 		size:  size,
 		opts:  opts,
 		conns: make([]*tcpConn, size),
-		boxes: make([]chan inprocMsg, size),
+		boxes: make([]chan Frame, size),
 		peers: make([]*peerState, size),
 	}
 	for i := range ep.boxes {
-		ep.boxes[i] = make(chan inprocMsg, 1024)
+		ep.boxes[i] = make(chan Frame, 1024)
 		ep.peers[i] = &peerState{}
 	}
 	if size == 1 {
@@ -465,27 +455,26 @@ func rendezvous(rank, size int, rootAddr string, ln net.Listener, opts TCPOption
 				return nil, fmt.Errorf("mpi: rendezvous accept: %w", err)
 			}
 			c.SetReadDeadline(deadline)
-			tag, payload, _, err := readFrame(c)
-			if err != nil || tag != tcpHelloTag || len(payload) < 4 {
+			f, err := readFrame(c)
+			if err != nil || f.Tag != tcpHelloTag || len(f.Buf) < 4 {
 				c.Close()
 				if err != nil && isTimeout(err) {
 					return nil, &PeerError{Rank: firstMissing(table), Op: OpRendezvous, Err: ErrTimeout}
 				}
-				return nil, fmt.Errorf("mpi: bad registration (tag %#x): %v", tag, err)
+				return nil, fmt.Errorf("mpi: bad registration (tag %#x): %v", f.Tag, err)
 			}
 			c.SetReadDeadline(time.Time{})
-			r := int(binary.LittleEndian.Uint32(payload))
+			r := int(binary.LittleEndian.Uint32(f.Buf))
 			if r < 1 || r >= size || table[r] != "" {
 				c.Close()
 				return nil, fmt.Errorf("mpi: bad or duplicate registration rank %d", r)
 			}
-			table[r] = string(payload[4:])
+			table[r] = string(f.Buf[4:])
 			regs = append(regs, c)
 		}
-		packed := packParts(stringsToBytes(table))
+		reply := Frame{Tag: tcpHelloTag, Buf: packParts(stringsToBytes(table))}
 		for _, c := range regs {
-			tc := &tcpConn{c: c, writeTimeout: opts.WriteTimeout}
-			if err := tc.writeFrame(tcpHelloTag, packed); err != nil {
+			if err := (&tcpConn{c: c}).write(reply, opts.WriteTimeout); err != nil {
 				return nil, fmt.Errorf("mpi: rendezvous reply: %w", err)
 			}
 		}
@@ -510,19 +499,18 @@ func rendezvous(rank, size int, rootAddr string, ln net.Listener, opts TCPOption
 	payload := make([]byte, 4+len(ln.Addr().String()))
 	binary.LittleEndian.PutUint32(payload, uint32(rank))
 	copy(payload[4:], ln.Addr().String())
-	tc := &tcpConn{c: conn, writeTimeout: opts.WriteTimeout}
-	if err := tc.writeFrame(tcpHelloTag, payload); err != nil {
+	if err := (&tcpConn{c: conn}).write(Frame{Tag: tcpHelloTag, Buf: payload}, opts.WriteTimeout); err != nil {
 		return nil, fmt.Errorf("mpi: register: %w", err)
 	}
 	conn.SetReadDeadline(deadline)
-	tag, packed, _, err := readFrame(conn)
-	if err != nil || tag != tcpHelloTag {
+	f, err := readFrame(conn)
+	if err != nil || f.Tag != tcpHelloTag {
 		if err != nil && isTimeout(err) {
 			return nil, &PeerError{Rank: 0, Op: OpRendezvous, Err: ErrTimeout}
 		}
-		return nil, fmt.Errorf("mpi: rendezvous table (tag %#x): %v", tag, err)
+		return nil, fmt.Errorf("mpi: rendezvous table (tag %#x): %v", f.Tag, err)
 	}
-	parts, err := unpackParts(packed)
+	parts, err := unpackParts(f.Buf)
 	if err != nil || len(parts) != size {
 		return nil, fmt.Errorf("mpi: rendezvous table decode: %v", err)
 	}
@@ -594,8 +582,8 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 				return
 			}
 			c.SetReadDeadline(deadline)
-			tag, payload, _, err := readFrame(c)
-			if err != nil || tag != tcpHelloTag || len(payload) != 4 {
+			f, err := readFrame(c)
+			if err != nil || f.Tag != tcpHelloTag || len(f.Buf) != 4 {
 				c.Close()
 				if err != nil && isTimeout(err) {
 					record(&PeerError{Rank: missingAccept(), Op: OpAccept, Err: ErrTimeout})
@@ -605,7 +593,7 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 				return
 			}
 			c.SetReadDeadline(time.Time{})
-			peer := int(binary.LittleEndian.Uint32(payload))
+			peer := int(binary.LittleEndian.Uint32(f.Buf))
 			if peer <= ep.rank || peer >= ep.size {
 				c.Close()
 				record(fmt.Errorf("mpi: mesh hello from invalid rank %d", peer))
@@ -618,7 +606,7 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 				record(fmt.Errorf("mpi: duplicate mesh hello from rank %d", peer))
 				return
 			}
-			ep.conns[peer] = &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
+			ep.conns[peer] = &tcpConn{c: c}
 			mu.Unlock()
 		}
 	}()
@@ -640,10 +628,10 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 				ep.opts.countDialRetry()
 				time.Sleep(ep.opts.DialBackoff)
 			}
-			tc := &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
+			tc := &tcpConn{c: c}
 			var hello [4]byte
 			binary.LittleEndian.PutUint32(hello[:], uint32(ep.rank))
-			if err := tc.writeFrame(tcpHelloTag, hello[:]); err != nil {
+			if err := tc.write(Frame{Tag: tcpHelloTag, Buf: hello[:]}, ep.opts.WriteTimeout); err != nil {
 				record(&PeerError{Rank: peer, Op: OpDial, Err: err})
 				return
 			}
@@ -662,10 +650,10 @@ func (ep *tcpEndpoint) mesh(table []string) error {
 // is pinned to its own connection generation's box and latch (passed in, not
 // looked up), so a loop left over from a readmitted peer's previous
 // connection can never poison the fresh slot.
-func (ep *tcpEndpoint) readLoop(peer int, tc *tcpConn, ps *peerState, box chan inprocMsg) {
+func (ep *tcpEndpoint) readLoop(peer int, tc *tcpConn, ps *peerState, box chan Frame) {
 	defer ep.readWG.Done()
 	for {
-		tag, payload, ctx, err := readFrame(tc.c)
+		f, err := readFrame(tc.c)
 		if err != nil {
 			cause := err
 			if ep.closed.Load() {
@@ -675,28 +663,27 @@ func (ep *tcpEndpoint) readLoop(peer int, tc *tcpConn, ps *peerState, box chan i
 			close(box)
 			return
 		}
-		if tag == tcpGoodbyeTag {
+		if f.Tag == tcpGoodbyeTag {
 			ps.latch(&PeerError{Rank: peer, Op: OpRecv, Err: ErrPeerClosed})
 			close(box)
 			return
 		}
-		if ep.subDeliver(peer, tag, payload) {
+		if ep.subDeliver(peer, f.Tag, f.Buf) {
 			continue
 		}
-		box <- inprocMsg{tag: tag, payload: payload, ctx: ctx}
+		box <- f
 	}
 }
 
 func (ep *tcpEndpoint) Rank() int { return ep.rank }
 func (ep *tcpEndpoint) Size() int { return ep.size }
 
-func (ep *tcpEndpoint) Send(to int, tag uint32, payload []byte) error {
-	return ep.SendCtx(to, tag, payload, TraceCtx{})
-}
-
-// SendCtx is Send with a causal trace context attached; a zero context
-// writes a legacy frame, so the hot path is a single comparison wider.
-func (ep *tcpEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error {
+// Send writes f to the peer's socket; a stamped frame carries its context
+// on the wire. An owned frame goes back to the pool once written or failed:
+// the kernel copies at write(2), so on TCP ownership saves the user-space
+// allocation and copy per frame.
+func (ep *tcpEndpoint) Send(to int, f Frame) error {
+	defer f.release()
 	if to < 0 || to >= ep.size || to == ep.rank {
 		return fmt.Errorf("mpi: invalid send target %d", to)
 	}
@@ -707,13 +694,7 @@ func (ep *tcpEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx)
 	if tc == nil {
 		return fmt.Errorf("mpi: no connection to rank %d", to)
 	}
-	var err error
-	if ctx.Span != 0 {
-		err = tc.writeFrameCtx(tag, payload, ctx)
-	} else {
-		err = tc.writeFrame(tag, payload)
-	}
-	if err != nil {
+	if err := tc.write(f, ep.opts.WriteTimeout); err != nil {
 		cause := err
 		if isTimeout(err) {
 			cause = fmt.Errorf("%w: %v", ErrTimeout, err)
@@ -724,23 +705,6 @@ func (ep *tcpEndpoint) SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx)
 		return ps.latched()
 	}
 	return nil
-}
-
-// SendOwned delivers a pooled frame with ownership transfer: once the bytes
-// are written to the socket (or the write fails) the frame goes back to the
-// pool. On TCP the kernel copies at write(2) anyway, so "zero-copy" here
-// means zero extra user-space allocation and copy per frame.
-func (ep *tcpEndpoint) SendOwned(to int, tag uint32, frame []byte) error {
-	err := ep.Send(to, tag, frame)
-	sharedFramePool.Put(frame)
-	return err
-}
-
-// SendOwnedCtx is SendOwned with a causal trace context attached.
-func (ep *tcpEndpoint) SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error {
-	err := ep.SendCtx(to, tag, frame, ctx)
-	sharedFramePool.Put(frame)
-	return err
 }
 
 // Recv returns the next frame from the peer carrying tag. Frames with other
@@ -754,7 +718,7 @@ func (ep *tcpEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 	_, box, ps := ep.slot(from)
 	if m, ok := ps.takePending(tag); ok {
 		ep.observe(from, m)
-		return m.payload, nil
+		return m.Buf, nil
 	}
 	var timeout <-chan time.Time
 	if d := ep.opts.RecvTimeout; d > 0 {
@@ -768,9 +732,9 @@ func (ep *tcpEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 			if !ok {
 				return nil, ps.latched()
 			}
-			if m.tag == tag {
+			if m.Tag == tag {
 				ep.observe(from, m)
-				return m.payload, nil
+				return m.Buf, nil
 			}
 			ps.queue(m)
 		case <-timeout:
@@ -782,12 +746,15 @@ func (ep *tcpEndpoint) Recv(from int, tag uint32) ([]byte, error) {
 // Close tears the endpoint down gracefully: a goodbye frame to every live
 // peer, a bounded drain waiting for their goodbyes so in-flight frames are
 // consumed, then the sockets close (each behind its write lock, so a
-// concurrent writeFrame finishes first).
+// concurrent write finishes first).
 func (ep *tcpEndpoint) Close() error { return ep.shutdown(true) }
 
 // Abort tears the endpoint down abruptly — no goodbye, no drain — modeling
 // a crashed rank: peers observe a reset connection.
 func (ep *tcpEndpoint) Abort() { ep.shutdown(false) }
+
+// Membership returns the endpoint itself: TCP implements the regrow side.
+func (ep *tcpEndpoint) Membership() Membership { return ep }
 
 func (ep *tcpEndpoint) shutdown(graceful bool) error {
 	ep.closeOnce.Do(func() {
@@ -808,7 +775,7 @@ func (ep *tcpEndpoint) shutdown(graceful bool) error {
 			}
 			for peer, tc := range conns {
 				if tc != nil && peers[peer].latched() == nil {
-					tc.writeFrameDeadline(tcpGoodbyeTag, nil, d)
+					tc.write(Frame{Tag: tcpGoodbyeTag}, d)
 				}
 			}
 			if ep.opts.DrainTimeout > 0 {
@@ -871,24 +838,24 @@ func (ep *tcpEndpoint) handleRejoin(c net.Conn) {
 	if d := ep.opts.RendezvousTimeout; d > 0 {
 		c.SetReadDeadline(time.Now().Add(d))
 	}
-	tag, payload, _, err := readFrame(c)
-	if err != nil || tag != tcpRejoinTag || len(payload) < 4 {
+	f, err := readFrame(c)
+	if err != nil || f.Tag != tcpRejoinTag || len(f.Buf) < 4 {
 		c.Close()
 		return
 	}
 	c.SetReadDeadline(time.Time{})
-	peer := int(binary.LittleEndian.Uint32(payload))
-	addr := string(payload[4:])
+	peer := int(binary.LittleEndian.Uint32(f.Buf))
+	addr := string(f.Buf[4:])
 	if peer < 0 || peer >= ep.size || peer == ep.rank {
 		c.Close()
 		return
 	}
-	tc := &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
+	tc := &tcpConn{c: c}
 	if !ep.installPeer(peer, addr, tc) {
 		c.Close()
 		return
 	}
-	tc.writeFrame(tcpRejoinTag, nil) // ack: the slot is live
+	tc.write(Frame{Tag: tcpRejoinTag}, ep.opts.WriteTimeout) // ack: the slot is live
 }
 
 // installPeer replaces a dead (or never-connected) peer slot with a fresh
@@ -904,7 +871,7 @@ func (ep *tcpEndpoint) installPeer(peer int, addr string, tc *tcpConn) bool {
 		return false
 	}
 	ep.conns[peer] = tc
-	ep.boxes[peer] = make(chan inprocMsg, 1024)
+	ep.boxes[peer] = make(chan Frame, 1024)
 	ep.peers[peer] = &peerState{}
 	if addr != "" && ep.addrs != nil {
 		ep.addrs[peer] = addr
@@ -969,17 +936,17 @@ func (ep *tcpEndpoint) redialOnce(peer int, addr string, hello []byte, deadline 
 	if err != nil {
 		return err
 	}
-	tc := &tcpConn{c: c, writeTimeout: ep.opts.WriteTimeout}
-	if err := tc.writeFrame(tcpRejoinTag, hello); err != nil {
+	tc := &tcpConn{c: c}
+	if err := tc.write(Frame{Tag: tcpRejoinTag, Buf: hello}, ep.opts.WriteTimeout); err != nil {
 		c.Close()
 		return err
 	}
 	c.SetReadDeadline(deadline)
-	tag, _, _, err := readFrame(c)
-	if err != nil || tag != tcpRejoinTag {
+	f, err := readFrame(c)
+	if err != nil || f.Tag != tcpRejoinTag {
 		c.Close()
 		if err == nil {
-			err = fmt.Errorf("unexpected ack tag %#x", tag)
+			err = fmt.Errorf("unexpected ack tag %#x", f.Tag)
 		}
 		return err
 	}
@@ -1042,12 +1009,12 @@ func RejoinTCP(rank, size int, rootAddr, bindAddr string, opts TCPOptions) (*Com
 		size:  size,
 		opts:  opts,
 		conns: make([]*tcpConn, size),
-		boxes: make([]chan inprocMsg, size),
+		boxes: make([]chan Frame, size),
 		peers: make([]*peerState, size),
 		addrs: make([]string, size),
 	}
 	for i := range ep.boxes {
-		ep.boxes[i] = make(chan inprocMsg, 1024)
+		ep.boxes[i] = make(chan Frame, 1024)
 		ep.peers[i] = &peerState{}
 	}
 	ln, err := net.Listen("tcp", bindAddr)

@@ -238,7 +238,7 @@ func TestMeshRejectsDuplicateHello(t *testing.T) {
 		payload := make([]byte, 4+len(addr))
 		binary.LittleEndian.PutUint32(payload, uint32(rank))
 		copy(payload[4:], addr)
-		if err := (&tcpConn{c: c}).writeFrame(tcpHelloTag, payload); err != nil {
+		if err := (&tcpConn{c: c}).write(Frame{Tag: tcpHelloTag, Buf: payload}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -248,7 +248,7 @@ func TestMeshRejectsDuplicateHello(t *testing.T) {
 	c2 := register(2)
 	defer c2.Close()
 	for _, c := range []net.Conn{c1, c2} {
-		if _, _, _, err := readFrame(c); err != nil { // the table reply
+		if _, err := readFrame(c); err != nil { // the table reply
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestMeshRejectsDuplicateHello(t *testing.T) {
 		}
 		var p [4]byte
 		binary.LittleEndian.PutUint32(p[:], uint32(rank))
-		if err := (&tcpConn{c: c}).writeFrame(tcpHelloTag, p[:]); err != nil {
+		if err := (&tcpConn{c: c}).write(Frame{Tag: tcpHelloTag, Buf: p[:]}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c

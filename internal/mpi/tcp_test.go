@@ -1,7 +1,11 @@
 package mpi
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -145,4 +149,54 @@ func TestTCPRecvAfterPeerClose(t *testing.T) {
 		t.Fatal("recv from closed peer must error")
 	}
 	comms[1].Close()
+}
+
+// wireBytes encodes f exactly as a tcpConn writes it.
+func wireBytes(f Frame) []byte {
+	var buf bytes.Buffer
+	writeFrame(&buf, make([]byte, 8+traceCtxBytes), f)
+	return buf.Bytes()
+}
+
+// The TCP wire format, byte for byte: an unstamped frame is the 8-byte
+// header [len][tag] plus the payload; a stamped frame sets the length
+// word's top bit and carries the 20-byte context between header and
+// payload. All words are little-endian.
+func TestFrameWireFormatGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		f    Frame
+		hex  string
+	}{
+		{"unstamped", Frame{Tag: 0x01020304, Buf: []byte{0xaa, 0xbb, 0xcc}},
+			"03000000" + "04030201" + "aabbcc"},
+		{"stamped", Frame{Tag: 7, Buf: []byte{0x11, 0x22}, Ctx: TraceCtx{Step: 5, Coll: 9, Origin: 2, Span: 3<<32 | 9}},
+			"02000080" + "07000000" + "05000000" + "09000000" + "02000000" + "0900000003000000" + "1122"},
+		{"empty", Frame{Tag: tcpGoodbyeTag}, "00000000" + "fdffffff"},
+	}
+	for _, tc := range cases {
+		wire := wireBytes(tc.f)
+		if got := hex.EncodeToString(wire); got != tc.hex {
+			t.Errorf("%s: wire bytes %s, want %s", tc.name, got, tc.hex)
+		}
+		f, err := readFrame(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if f.Tag != tc.f.Tag || !bytes.Equal(f.Buf, tc.f.Buf) || f.Ctx != tc.f.Ctx {
+			t.Errorf("%s: read back %+v, want %+v", tc.name, f, tc.f)
+		}
+	}
+}
+
+// A length word above maxFrameBytes is rejected before any payload is
+// allocated, with or without the context flag.
+func TestReadFrameRejectsOversize(t *testing.T) {
+	for _, flag := range []uint32{0, tcpCtxFlag} {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:], (maxFrameBytes+1)|flag)
+		if _, err := readFrame(bytes.NewReader(hdr[:])); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Errorf("flag %#x: want the frame-length limit error, got %v", flag, err)
+		}
+	}
 }

@@ -46,31 +46,15 @@ func decodeTraceCtx(src []byte) TraceCtx {
 	}
 }
 
-// ctxSender is the optional endpoint capability for context-stamped sends.
-// Terminal transports implement it natively; decorators (fault injection,
-// instrumentation) forward it so faults and counters apply identically to
-// stamped and plain frames.
-type ctxSender interface {
-	SendCtx(to int, tag uint32, payload []byte, ctx TraceCtx) error
-	SendOwnedCtx(to int, tag uint32, frame []byte, ctx TraceCtx) error
-}
-
 // TraceSink receives the context of every stamped frame a transport
 // delivers through its Recv path (subscription side channels excluded).
 type TraceSink func(from int, tag uint32, ctx TraceCtx)
-
-// traceSinkSetter is the optional terminal-endpoint capability behind
-// Comm.SetFlowTracer's receive side.
-type traceSinkSetter interface {
-	SetTraceSink(TraceSink)
-}
 
 // flowState is the communicator's causal-tracing state. It is touched only
 // on the collective caller's goroutine (collectives on one communicator are
 // caller-serialized), so it needs no lock.
 type flowState struct {
 	tr  *telemetry.Tracer
-	cs  ctxSender
 	seq uint32
 	cur TraceCtx
 	// sent marks peers already stamped during the current collective: one
@@ -82,39 +66,19 @@ type flowState struct {
 // collective sends stamp a TraceCtx into their frames and record flow-start
 // events, and stamped frames received from peers record flow-finish events
 // bound to whatever span is open when they arrive. Pass nil to disable.
-// The transport chain must reach a terminal endpoint that supports context
-// frames (both built-in transports do); otherwise sends stay unstamped and
-// only the tracer side is armed.
+// Every transport carries the context (a struct field in-process, the
+// stamped wire frame on TCP), through any stack of decorators and derived
+// communicators.
 func (c *Comm) SetFlowTracer(tr *telemetry.Tracer) {
 	if tr == nil {
 		c.flow = nil
-		c.setTraceSink(nil)
+		c.ep.SetTraceSink(nil)
 		return
 	}
-	f := &flowState{tr: tr, sent: make([]bool, c.ep.Size())}
-	if cs, ok := c.ep.(ctxSender); ok {
-		f.cs = cs
-	}
-	c.flow = f
-	c.setTraceSink(func(from int, tag uint32, ctx TraceCtx) {
+	c.flow = &flowState{tr: tr, sent: make([]bool, c.ep.Size())}
+	c.ep.SetTraceSink(func(from int, tag uint32, ctx TraceCtx) {
 		tr.FlowFinish("mpi.flow", "flow", telemetry.CommLane, ctx.Span)
 	})
-}
-
-// setTraceSink installs (or clears) the receive-side sink on the terminal
-// transport, walking the decorator chain like Subscribe does.
-func (c *Comm) setTraceSink(sink TraceSink) {
-	for ep := c.ep; ep != nil; {
-		if s, ok := ep.(traceSinkSetter); ok {
-			s.SetTraceSink(sink)
-			return
-		}
-		u, ok := ep.(unwrapper)
-		if !ok {
-			return
-		}
-		ep = u.Unwrap()
-	}
 }
 
 // BeginFlow opens a causally-traced collective: until EndFlow, the first
@@ -123,7 +87,7 @@ func (c *Comm) setTraceSink(sink TraceSink) {
 // unless SetFlowTracer armed the communicator.
 func (c *Comm) BeginFlow(step int64) {
 	f := c.flow
-	if f == nil || f.cs == nil {
+	if f == nil {
 		return
 	}
 	f.seq++
@@ -163,11 +127,12 @@ func (c *Comm) flowCtx(to int) (TraceCtx, bool) {
 	return f.cur, true
 }
 
-// csend is the collective send path: Send, plus context stamping when a
-// flow is open and this is the first frame of the collective to that peer.
-func (c *Comm) csend(to int, tag uint32, payload []byte) error {
+// send is the one collective send path: f goes to the endpoint, stamped
+// with the open flow's context when it is the collective's first frame to
+// that peer.
+func (c *Comm) send(to int, f Frame) error {
 	if ctx, ok := c.flowCtx(to); ok {
-		return c.flow.cs.SendCtx(to, tag, payload, ctx)
+		f.Ctx = ctx
 	}
-	return c.ep.Send(to, tag, payload)
+	return c.ep.Send(to, f)
 }

@@ -306,7 +306,7 @@ func Supervise(cfg SupervisorConfig) (*SupervisorResult, error) {
 			if err != nil {
 				sup.in.comm.Abort()
 			}
-			_ = sup.in.eng.Quiesce() // the run's outcome is already decided
+			_ = sup.in.eng.Shutdown() // the run's outcome is already decided
 		}
 	}
 	res.FinalStep = sup.step
@@ -595,7 +595,7 @@ func (s *supervisor) recover(suspects []int) error {
 	s.cfg.Health.Set(telemetry.HealthRecovering, "suspects", suspects, "old_size", oldSize)
 	// The engine's loop has latched the failure; make its exit deterministic
 	// before negotiating the new world.
-	old.eng.Quiesce()
+	old.eng.Shutdown()
 
 	var newComm *mpi.Comm
 	var survivors []int
@@ -739,7 +739,7 @@ func (s *supervisor) regrow(epoch int) error {
 	oldSize := old.comm.Size()
 	oldRoots := old.comm.RootMembers()
 	s.cfg.Health.Set(telemetry.HealthRegrowing, "old_size", oldSize, "epoch", epoch)
-	old.eng.Quiesce()
+	old.eng.Shutdown()
 
 	s.regrowRestore = true
 	if old.comm.Rank() == 0 {
